@@ -37,7 +37,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import os
 
@@ -45,7 +45,6 @@ from .. import obs
 from ..obs.export import phase_totals
 from ..obs.provenance import collect_provenance
 from ..router import SadpRouter
-from ..router.kernel import HAVE_NUMBA, kernel_backend_name
 from .workloads import (
     FULL_TIER_SCALES,
     FULL_TIER_WORKLOADS,
@@ -79,31 +78,14 @@ DEFAULT_WORKLOADS = ("Test1", "Test2", "Test3", "Test5", "Test6")
 
 #: Bench modes and the router configuration each one measures.
 #: ``fast`` is the unguided flat-array path (the guidance-off side of the
-#: A/B); ``guided`` enables the future-cost corridor maps; ``kernel``
-#: runs the same guided configuration through the compiled search kernel
-#: (interpreted fallback when numba is absent — still bit-identical, so
-#: the equivalence gate holds either way). Every other mode pins
-#: ``kernel="python"`` so a numba install never leaks into their timing.
-#: ``core`` picks the constraint-graph/coloring/commit engine:
+#: A/B); ``guided`` enables the future-cost corridor maps. ``core`` picks the constraint-graph/coloring/commit engine:
 #: ``reference`` keeps the object-per-edge implementation so the A/B
 #: measures the vectorized SoA engine (everything else) against it;
 #: :func:`check_core_equivalence` gates their bit-identity.
 _MODE_CONFIG = {
-    "reference": dict(
-        use_reference=True, guidance="off", kernel="python", core="object"
-    ),
-    "fast": dict(
-        use_reference=False, guidance="off", kernel="python", core="vector"
-    ),
-    "guided": dict(
-        use_reference=False, guidance="auto", kernel="python", core="vector"
-    ),
-    "parallel": dict(
-        use_reference=False, guidance="auto", kernel="python", core="vector"
-    ),
-    "kernel": dict(
-        use_reference=False, guidance="auto", kernel="numba", core="vector"
-    ),
+    "reference": dict(use_reference=True, guidance="off", core="object"),
+    "fast": dict(use_reference=False, guidance="off", core="vector"),
+    "guided": dict(use_reference=False, guidance="auto", core="vector"),
 }
 
 #: Phases owned by the core engine (the A* search phase is shared).
@@ -125,7 +107,6 @@ class _Run:
     guidance_builds: int
     routability_pct: float
     overlay_units: float
-    parallel_stats: Optional[dict]
 
 
 @dataclass
@@ -143,13 +124,9 @@ class ModeSample:
     #: Per-phase runtime split of this mode's own instrumented run —
     #: every sample carries its own phases (the split used to be
     #: emitted once per workload, which misattributed the reference
-    #: and parallel profiles to the fast path).
+    #: profile to the fast path).
     phases: Dict[str, float] = field(default_factory=dict)
     phases_route_all_s: float = 0.0
-    #: Which backend actually executed a ``kernel``-mode sample:
-    #: ``"numba"`` (compiled) or ``"interpreted"`` (numba absent, same
-    #: code run by CPython). None for every other mode.
-    kernel_backend: Optional[str] = None
 
     @property
     def expansions_per_s(self) -> float:
@@ -176,8 +153,6 @@ class ModeSample:
         if self.phases:
             out["phases_s"] = {k: round(v, 6) for k, v in self.phases.items()}
             out["phases_route_all_s"] = round(self.phases_route_all_s, 6)
-        if self.kernel_backend is not None:
-            out["kernel_backend"] = self.kernel_backend
         return out
 
 
@@ -189,13 +164,6 @@ class WorkloadResult:
     fast: ModeSample
     reference: Optional[ModeSample] = None
     guided: Optional[ModeSample] = None
-    kernel: Optional[ModeSample] = None
-    parallel: Optional[ModeSample] = None
-    parallel_stats: Optional[dict] = None
-    #: Dry-run ``workers="auto"`` rationale for this instance — answers
-    #: "what would auto do here, and why" from the payload alone, even
-    #: when the timed runs used explicit workers.
-    auto_probe: Optional[dict] = None
 
     @property
     def speedup(self) -> Optional[float]:
@@ -215,34 +183,6 @@ class WorkloadResult:
         if self.guided is None or self.guided.expansions <= 0:
             return None
         return self.fast.expansions / self.guided.expansions
-
-    @property
-    def kernel_speedup(self) -> Optional[float]:
-        """Interpreted fast path over compiled kernel, same guidance
-        config (the ``guided`` sample when present, ``fast`` otherwise).
-
-        None on the interpreted fallback: that backend times CPython
-        running kernel-shaped code, so its ratio says nothing about
-        compilation and would pollute speedup trend lines recorded on
-        numba-free hosts (the bit-identity gate still runs there).
-        """
-        if self.kernel is None or self.kernel.route_all_s <= 0:
-            return None
-        if self.kernel.kernel_backend == "interpreted":
-            return None
-        base = self.guided if self.guided is not None else self.fast
-        return base.route_all_s / self.kernel.route_all_s
-
-    @property
-    def kernel_vs_reference(self) -> Optional[float]:
-        if (
-            self.kernel is None
-            or self.reference is None
-            or self.kernel.route_all_s <= 0
-            or self.kernel.kernel_backend == "interpreted"
-        ):
-            return None
-        return self.reference.route_all_s / self.kernel.route_all_s
 
     @property
     def core_phase_speedup(self) -> Optional[float]:
@@ -283,12 +223,6 @@ class WorkloadResult:
                 out[phase] = round(ref / fast, 4)
         return out or None
 
-    @property
-    def parallel_speedup(self) -> Optional[float]:
-        if self.parallel is None or self.parallel.route_all_s <= 0:
-            return None
-        return self.fast.route_all_s / self.parallel.route_all_s
-
     def to_dict(self) -> dict:
         out = {
             "name": self.circuit,
@@ -311,74 +245,25 @@ class WorkloadResult:
             out["guided"] = self.guided.to_dict()
             out["guidance_speedup"] = round(self.guidance_speedup, 4)
             out["expansion_reduction"] = round(self.expansion_reduction, 4)
-        if self.kernel is not None:
-            out["kernel"] = self.kernel.to_dict()
-            # Explicit null (not absent) on the interpreted fallback: a
-            # consumer diffing payloads over time sees "not measurable
-            # here" instead of a silently missing series.
-            out["kernel_speedup"] = (
-                round(self.kernel_speedup, 4)
-                if self.kernel_speedup is not None
-                else None
-            )
-            if self.kernel_vs_reference is not None:
-                out["kernel_vs_reference"] = round(self.kernel_vs_reference, 4)
-        if self.parallel is not None:
-            out["parallel"] = self.parallel.to_dict()
-            out["parallel_speedup"] = round(self.parallel_speedup, 4)
-            if self.parallel_stats is not None:
-                out["parallel_stats"] = self.parallel_stats
-        if self.auto_probe is not None:
-            out["auto_decision_probe"] = self.auto_probe
         return out
 
 
-def _make_router(
-    circuit: str,
-    scale: float,
-    seed: int,
-    mode: str,
-    workers: Union[int, str] = 1,
-    executor: str = "process",
-    shard: str = "auto",
-) -> SadpRouter:
+def _make_router(circuit: str, scale: float, seed: int, mode: str) -> SadpRouter:
     """A fresh router instance configured for one bench mode."""
     spec = spec_by_name(circuit)
     grid, nets = generate_benchmark(spec, scale=scale, seed=seed)
     cfg = _MODE_CONFIG[mode]
-    router = SadpRouter(
-        grid,
-        nets,
-        workers=workers if mode == "parallel" else 1,
-        executor=executor,
-        guidance=cfg["guidance"],
-        shard=shard if mode == "parallel" else "auto",
-        kernel=cfg["kernel"],
-        core=cfg["core"],
-    )
+    router = SadpRouter(grid, nets, guidance=cfg["guidance"], core=cfg["core"])
     router.engine.use_reference = cfg["use_reference"]
     return router
 
 
-def _run_once(
-    circuit: str,
-    scale: float,
-    seed: int,
-    mode: str,
-    workers: Union[int, str] = 1,
-    executor: str = "process",
-    shard: str = "auto",
-) -> _Run:
+def _run_once(circuit: str, scale: float, seed: int, mode: str) -> _Run:
     """One fresh instance + route_all with the mode's configuration."""
-    router = _make_router(circuit, scale, seed, mode, workers, executor, shard)
+    router = _make_router(circuit, scale, seed, mode)
     t0 = time.perf_counter()
     result = router.route_all()
     wall = time.perf_counter() - t0
-    stats = (
-        router.parallel_stats.to_dict()
-        if router.parallel_stats is not None
-        else None
-    )
     return _Run(
         wall_s=wall,
         expansions=router.engine.total_expansions,
@@ -387,28 +272,19 @@ def _run_once(
         guidance_builds=router.engine.total_guidance_builds,
         routability_pct=result.routability * 100.0,
         overlay_units=result.overlay_units,
-        parallel_stats=stats,
     )
 
 
 def _phase_split(
-    circuit: str,
-    scale: float,
-    seed: int,
-    mode: str = "fast",
-    workers: Union[int, str] = 1,
-    executor: str = "process",
-    shard: str = "auto",
+    circuit: str, scale: float, seed: int, mode: str = "fast"
 ) -> Tuple[Dict[str, float], float]:
     """One instrumented (untimed-for-comparison) run for the phase split.
 
     Returns (phase seconds, route_all seconds of that same run). The
     buckets are disjoint — ``commit`` is measured as the commit span's
-    *self* time — so their sum never exceeds the route_all total. For
-    the ``parallel`` mode the split covers main-process spans only
-    (worker processes do not propagate tracer state).
+    *self* time — so their sum never exceeds the route_all total.
     """
-    router = _make_router(circuit, scale, seed, mode, workers, executor, shard)
+    router = _make_router(circuit, scale, seed, mode)
     with obs.session():
         before = dict(phase_totals())
         router.route_all()
@@ -426,29 +302,6 @@ def _phase_split(
     return phases, route_all_s
 
 
-def _wants_parallel(workers: Union[int, str]) -> bool:
-    return workers == "auto" or (isinstance(workers, int) and workers > 1)
-
-
-def _probe_auto_decision(
-    circuit: str, scale: float, seed: int, shard: str = "auto"
-) -> Optional[dict]:
-    """Dry-run the ``workers="auto"`` resolver on a fresh instance.
-
-    Pure planning (shard geometry + batch-scheduler scan, no routing);
-    the returned rationale dict is what ``_resolve_workers`` would log
-    for this instance on *this host* — including the host's core count,
-    so a ``"serial"`` probe on a one-core box is distinguishable from a
-    genuinely unshardable workload.
-    """
-    spec = spec_by_name(circuit)
-    grid, nets = generate_benchmark(spec, scale=scale, seed=seed)
-    router = SadpRouter(grid, nets, workers="auto", shard=shard)
-    ordered = list(router.netlist.ordered_for_routing(router.order))
-    router._resolve_workers(ordered)
-    return router._auto_rationale
-
-
 def run_perf(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     scales: Optional[Dict[str, float]] = None,
@@ -456,12 +309,7 @@ def run_perf(
     rounds: int = 3,
     include_reference: bool = True,
     include_guidance: bool = True,
-    include_kernel: bool = False,
     include_phases: bool = True,
-    workers: Union[int, str] = 1,
-    executor: str = "process",
-    shard: str = "auto",
-    include_probe: bool = False,
     verbose: bool = True,
 ) -> dict:
     """Run the perf bench; returns one tier's flat payload.
@@ -470,16 +318,7 @@ def run_perf(
     of the fast path (``guided`` sample, ``guidance_speedup``,
     ``expansion_reduction``); :func:`check_guidance_equivalence` gates
     that the guided run produced identical metrics from strictly fewer
-    (or equal) expansions. With ``include_kernel`` each workload also
-    times the compiled search kernel in the guided configuration
-    (``kernel`` sample, tagged with the executing backend);
-    :func:`check_kernel_equivalence` gates its bit-identity. With ``workers`` > 1 or ``"auto"`` each
-    workload also runs through the parallel routing engine — ``shard``
-    picks region sharding ("on"/"auto") vs the batch scheduler ("off")
-    — and the payload grows ``parallel`` / ``parallel_speedup`` /
-    ``parallel_stats``; :func:`check_parallel_equivalence` gates those.
-    ``include_probe`` additionally records each workload's
-    ``auto_decision_probe`` (the dry-run ``workers="auto"`` rationale).
+    (or equal) expansions.
     """
     if obs.is_enabled():
         raise RuntimeError(
@@ -487,7 +326,6 @@ def run_perf(
             "production configuration); call obs.disable() first"
         )
     scales = {**DEFAULT_SCALES, **(scales or {})}
-    use_parallel = _wants_parallel(workers)
     results: List[WorkloadResult] = []
     for circuit in workloads:
         scale = scales.get(circuit, 0.15)
@@ -496,10 +334,6 @@ def run_perf(
             modes.insert(0, "reference")
         if include_guidance:
             modes.append("guided")
-        if include_kernel:
-            modes.append("kernel")
-        if use_parallel:
-            modes.append("parallel")
         samples: Dict[str, List[_Run]] = {m: [] for m in modes}
         for rnd in range(rounds):
             # Interleaved so all modes see the same machine drift, and
@@ -507,11 +341,7 @@ def run_perf(
             # round — a speed trend within a round would otherwise bias
             # whichever mode consistently ran first (or last).
             for mode in modes[rnd % len(modes) :] + modes[: rnd % len(modes)]:
-                samples[mode].append(
-                    _run_once(
-                        circuit, scale, seed, mode, workers, executor, shard
-                    )
-                )
+                samples[mode].append(_run_once(circuit, scale, seed, mode))
 
         def best(mode: str) -> ModeSample:
             runs = samples[mode]
@@ -527,11 +357,9 @@ def run_perf(
                 guided_searches=run.guided_searches,
                 guidance_builds=run.guidance_builds,
             )
-            if mode == "kernel":
-                sample.kernel_backend = kernel_backend_name()
             if include_phases:
                 sample.phases, sample.phases_route_all_s = _phase_split(
-                    circuit, scale, seed, mode, workers, executor, shard
+                    circuit, scale, seed, mode
                 )
             return sample
 
@@ -542,15 +370,7 @@ def run_perf(
             fast=best("fast"),
             reference=best("reference") if include_reference else None,
             guided=best("guided") if include_guidance else None,
-            kernel=best("kernel") if include_kernel else None,
         )
-        if use_parallel:
-            wl.parallel = best("parallel")
-            runs = samples["parallel"]
-            idx = min(range(len(runs)), key=lambda i: runs[i].wall_s)
-            wl.parallel_stats = runs[idx].parallel_stats
-        if include_probe:
-            wl.auto_probe = _probe_auto_decision(circuit, scale, seed, shard)
         results.append(wl)
         if verbose:
             line = (
@@ -568,22 +388,6 @@ def run_perf(
                     f" -> {wl.guidance_speedup:.2f}x"
                     f" ({wl.expansion_reduction:.1f}x fewer expansions)"
                 )
-            if wl.kernel is not None:
-                kern_ratio = (
-                    f"{wl.kernel_speedup:.2f}x"
-                    if wl.kernel_speedup is not None
-                    else "n/a (interpreted)"
-                )
-                line += (
-                    f", kernel[{wl.kernel.kernel_backend}] "
-                    f"{wl.kernel.route_all_s:.3f}s"
-                    f" -> {kern_ratio}"
-                )
-            if wl.parallel is not None:
-                line += (
-                    f", parallel({workers}w) {wl.parallel.route_all_s:.3f}s"
-                    f" -> {wl.parallel_speedup:.2f}x"
-                )
             print(line)
     payload = {
         "schema": SCHEMA,
@@ -591,9 +395,6 @@ def run_perf(
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "platform": platform.platform(),
-            # Parallel samples are meaningless without knowing how many
-            # cores the box had — a 1.0x "speedup" on one core is the
-            # expected result, not a regression.
             "cpus": os.cpu_count() or 1,
         },
         "provenance": collect_provenance(),
@@ -604,13 +405,9 @@ def run_perf(
             "scales": {c: scales.get(c, 0.15) for c in workloads},
             "observability": "off",
             "timing": "interleaved, best-of-rounds",
-            "workers": workers,
-            "executor": executor,
-            "shard": shard,
             # Repeated per tier (the tiered envelope hoists ``host`` to
-            # the top) so a quick-tier fragment read on its own still
-            # says how many cores the box had — parallel numbers are
-            # uninterpretable without it.
+            # the top) so a tier fragment read on its own still says
+            # which box it was recorded on.
             "host_cpus": os.cpu_count() or 1,
         },
         "workloads": [wl.to_dict() for wl in results],
@@ -647,37 +444,6 @@ def run_perf(
             if wl.expansion_reduction is not None
         ]
         summary["geomean_expansion_reduction"] = round(_geo(reductions), 4)
-    if any(wl.kernel is not None for wl in results):
-        # Always name the backend that ran; the speedup aggregates join
-        # only when it was the compiled one (interpreted ratios are
-        # nulled per workload and would poison a geomean).
-        summary["kernel_backend"] = kernel_backend_name()
-    kspeedups = [
-        wl.kernel_speedup for wl in results if wl.kernel_speedup is not None
-    ]
-    if kspeedups:
-        summary["geomean_kernel_speedup"] = round(_geo(kspeedups), 4)
-        summary["min_kernel_speedup"] = round(min(kspeedups), 4)
-        kvr = [
-            wl.kernel_vs_reference
-            for wl in results
-            if wl.kernel_vs_reference is not None
-        ]
-        if kvr:
-            summary["geomean_kernel_vs_reference"] = round(_geo(kvr), 4)
-    pspeedups = [
-        wl.parallel_speedup for wl in results if wl.parallel_speedup is not None
-    ]
-    if pspeedups:
-        summary["geomean_parallel_speedup"] = round(_geo(pspeedups), 4)
-        summary["min_parallel_speedup"] = round(min(pspeedups), 4)
-        off_fracs = [
-            (wl.parallel_stats or {}).get("off_process_fraction")
-            for wl in results
-        ]
-        off_fracs = [f for f in off_fracs if f is not None]
-        if off_fracs:
-            summary["max_off_process_fraction"] = round(max(off_fracs), 4)
     if summary:
         payload["summary"] = summary
     return payload
@@ -734,7 +500,7 @@ def render_phase_table(payload: dict) -> str:
     lines = [header, "-" * len(header)]
     for tier, flat in iter_tier_payloads(payload):
         for wl in flat.get("workloads", []):
-            for variant in ("reference", "fast", "guided", "kernel", "parallel"):
+            for variant in ("reference", "fast", "guided"):
                 sample = wl.get(variant)
                 if not sample or "phases_s" not in sample:
                     continue
@@ -747,37 +513,6 @@ def render_phase_table(payload: dict) -> str:
                     + f" {other:9.3f} {total:9.3f}"
                 )
     return "\n".join(lines)
-
-
-def check_parallel_equivalence(payload: dict) -> List[str]:
-    """Determinism gate: parallel runs must match sequential exactly.
-
-    The batch scheduler guarantees bit-identical results for any worker
-    count; this check enforces the observable half of that guarantee —
-    identical routability and overlay units between the ``fast``
-    (sequential) and ``parallel`` samples of every workload. Returns a
-    list of problems (empty = pass).
-    """
-    problems: List[str] = []
-    for tier, flat in iter_tier_payloads(payload):
-        for wl in flat.get("workloads", []):
-            par = wl.get("parallel")
-            if par is None:
-                continue
-            fast = wl["fast"]
-            if par["routability_pct"] != fast["routability_pct"]:
-                problems.append(
-                    f"{tier}/{wl['circuit']}: parallel routability "
-                    f"{par['routability_pct']} != sequential "
-                    f"{fast['routability_pct']}"
-                )
-            if par["overlay_units"] != fast["overlay_units"]:
-                problems.append(
-                    f"{tier}/{wl['circuit']}: parallel overlay "
-                    f"{par['overlay_units']} != sequential "
-                    f"{fast['overlay_units']}"
-                )
-    return problems
 
 
 def check_guidance_equivalence(payload: dict) -> List[str]:
@@ -807,47 +542,6 @@ def check_guidance_equivalence(payload: dict) -> List[str]:
                     f"{guided['expansions']} > unguided {fast['expansions']} "
                     "(pruning must never add work)"
                 )
-    return problems
-
-
-def check_kernel_equivalence(payload: dict) -> List[str]:
-    """Correctness gate for the compiled kernel.
-
-    The kernel runs the same guided configuration as the ``guided``
-    sample and must be bit-identical to it — same committed routes
-    (routability, overlay units), same search/expansion counts, same
-    guidance activity. When only the unguided ``fast`` sample is present
-    the comparison drops to the metrics both configurations share.
-    Returns a list of problems (empty = pass).
-    """
-    problems: List[str] = []
-    for tier, flat in iter_tier_payloads(payload):
-        for wl in flat.get("workloads", []):
-            kern = wl.get("kernel")
-            if kern is None:
-                continue
-            base = wl.get("guided")
-            if base is not None:
-                metrics = (
-                    "routability_pct",
-                    "overlay_units",
-                    "searches",
-                    "expansions",
-                    "guided_searches",
-                    "guidance_builds",
-                )
-                base_name = "guided"
-            else:
-                base = wl["fast"]
-                metrics = ("routability_pct", "overlay_units", "searches")
-                base_name = "fast"
-            for metric in metrics:
-                if kern.get(metric, 0) != base.get(metric, 0):
-                    problems.append(
-                        f"{tier}/{wl['circuit']}: kernel {metric} "
-                        f"{kern.get(metric, 0)} != {base_name} "
-                        f"{base.get(metric, 0)}"
-                    )
     return problems
 
 
@@ -966,13 +660,9 @@ def record_to_ledger(
                         "astar_nodes_expanded_total": float(fast["expansions"]),
                         "astar_searches_total": float(fast["searches"]),
                     },
-                    parallel_decision=(wl.get("parallel_stats") or {}).get(
-                        "decision_trace"
-                    ),
                     meta={
                         "speedup": wl.get("speedup"),
                         "guidance_speedup": wl.get("guidance_speedup"),
-                        "parallel_speedup": wl.get("parallel_speedup"),
                     },
                 )
                 baseline = (
@@ -999,105 +689,6 @@ def record_to_ledger(
                             f"{baseline.run_id}: {rows}"
                         )
     return problems
-
-
-def check_full_tier_engaged(payload: dict) -> List[str]:
-    """Gate: the full tier must engage (or predict) a non-serial mode.
-
-    A workload counts as engaged when its timed parallel run used the
-    sharded mode or recorded a non-serial auto decision, *or* when its
-    ``auto_decision_probe`` says ``workers="auto"`` would pick one. The
-    probe matters on explicit-worker runs (auto fields stay empty) and
-    keeps the gate meaningful: a full tier where every probe says
-    "serial" means the sharding heuristics regressed. Returns problems
-    (empty = at least one workload engaged).
-    """
-    tiers = dict(iter_tier_payloads(payload))
-    flat = tiers.get("full")
-    if flat is None:
-        return ["no full tier in payload (run with --tier full or both)"]
-    engaged = []
-    for wl in flat.get("workloads", []):
-        stats = wl.get("parallel_stats") or {}
-        probe = wl.get("auto_decision_probe") or {}
-        if (
-            stats.get("mode") == "sharded"
-            or stats.get("auto_decision") not in (None, "", "serial")
-            or probe.get("decision") not in (None, "serial")
-        ):
-            engaged.append(wl["circuit"])
-    if not engaged:
-        return [
-            "every full-tier workload resolved (and would resolve) to "
-            "serial — sharding never engages"
-        ]
-    return []
-
-
-def full_tier_skip_reason(payload: dict) -> Optional[str]:
-    """Why the full tier's parallel gates should be *skipped*, if at all.
-
-    On a one-core host every auto decision is "serial — single-core
-    host" by construction: failing ``--require-engaged`` or a parallel
-    speedup floor there reports the runner's hardware, not a sharding
-    regression. When every full-tier workload's decision (timed trace
-    or dry-run probe) gives that reason, the gates are skipped with an
-    explicit marker instead. Any other reason returns None — the gates
-    run and judge as usual.
-    """
-    tiers = dict(iter_tier_payloads(payload))
-    flat = tiers.get("full")
-    if flat is None:
-        return None
-    reasons = []
-    for wl in flat.get("workloads", []):
-        trace = (wl.get("parallel_stats") or {}).get("decision_trace") or {}
-        probe = wl.get("auto_decision_probe") or {}
-        reasons.append(trace.get("reason") or probe.get("reason") or "")
-    if reasons and all(r == "single-core host" for r in reasons):
-        return "single-core host"
-    return None
-
-
-def _decision_lines(payload: dict) -> List[str]:
-    """Human-readable ``--workers auto`` rationale per workload."""
-    lines: List[str] = []
-    for tier, flat in iter_tier_payloads(payload):
-        for wl in flat.get("workloads", []):
-            trace = (wl.get("parallel_stats") or {}).get("decision_trace")
-            probe = wl.get("auto_decision_probe")
-            if trace:
-                line = (
-                    f"{wl['circuit']}: parallel decision = "
-                    f"{trace.get('decision', '?')}"
-                    f" — {trace.get('reason', '')}"
-                )
-                if trace.get("decision") == "sharded" or "shard_nets" in trace:
-                    line += (
-                        f" (grid {trace.get('shard_shard_grid', '?')},"
-                        f" {trace.get('shard_interior_nets', 0)} interior /"
-                        f" {trace.get('shard_boundary_nets', 0)} boundary)"
-                    )
-                else:
-                    line += (
-                        f" (scanned {trace.get('candidates_scanned', 0)},"
-                        f" halo rejects {trace.get('halo_rejects', 0)},"
-                        f" {trace.get('multi_net_batches', 0)} multi-net"
-                        " batches)"
-                    )
-                lines.append(line)
-            elif probe:
-                lines.append(
-                    f"{wl['circuit']}: auto would pick "
-                    f"{probe.get('decision', '?')} — {probe.get('reason', '')}"
-                )
-    return lines
-
-
-def _parse_workers(value: str) -> Union[int, str]:
-    if value == "auto":
-        return "auto"
-    return int(value)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1129,11 +720,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="skip the guidance-on/off A/B runs",
     )
     parser.add_argument(
-        "--no-kernel",
-        action="store_true",
-        help="skip the compiled-kernel rows (and their equivalence gate)",
-    )
-    parser.add_argument(
         "--no-phases", action="store_true", help="skip the instrumented phase split"
     )
     parser.add_argument(
@@ -1142,55 +728,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="print the per-variant phase table after the run",
     )
     parser.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=1,
-        help="also time the parallel batch router with N workers (or "
-        "'auto' for the scheduler-predicted choice) and gate its results "
-        "against the sequential run",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("process", "thread", "serial"),
-        default="process",
-        help="worker pool kind for the parallel runs",
-    )
-    parser.add_argument(
-        "--shard",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="region sharding for the parallel runs: auto (engage when "
-        "the plan clears the interior-net bar), on (force, minimal 2x2 "
-        "tiling if needed), off (PR-3 batch scheduler only)",
-    )
-    parser.add_argument(
         "--tier",
         choices=("quick", "full", "both"),
         default="quick",
         help="quick = the small default workloads; full = Test5-Test10 "
-        "at sharding-relevant scales (fast+parallel only); both = the "
-        "two-tier BENCH_perf.json payload",
-    )
-    parser.add_argument(
-        "--full-workers",
-        type=_parse_workers,
-        default="auto",
-        metavar="N",
-        help="worker count for the full tier's parallel runs (or 'auto')",
-    )
-    parser.add_argument(
-        "--require-engaged",
-        action="store_true",
-        help="fail unless at least one full-tier workload engages (or "
-        "would engage) a non-serial parallel mode — the 'is sharding "
-        "real on this host' gate",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail if the full tier's geomean parallel speedup is below X",
+        "at the full-tier scales (fast only); both = the two-tier "
+        "BENCH_perf.json payload",
     )
     parser.add_argument(
         "--check",
@@ -1237,16 +780,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rounds=args.rounds,
             include_reference=not args.no_reference,
             include_guidance=not args.no_guidance,
-            include_kernel=not args.no_kernel,
             include_phases=not args.no_phases,
-            workers=args.workers,
-            executor=args.executor,
-            shard=args.shard,
         )
     if args.tier in ("full", "both"):
-        # The full tier measures the parallel question only — fast vs
-        # parallel on sharding-sized instances; reference/guidance A/Bs
-        # and the instrumented phase split stay in the quick tier.
+        # The full tier times the production fast path on the big
+        # instances; reference/guidance A/Bs and the instrumented phase
+        # split stay in the quick tier.
         full_workloads = (
             workloads if explicit_workloads else list(FULL_TIER_WORKLOADS)
         )
@@ -1262,14 +801,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rounds=args.rounds,
             include_reference=False,
             include_guidance=False,
-            # Full-tier instances are too large for the interpreted
-            # fallback; the kernel rows join only when numba compiles.
-            include_kernel=HAVE_NUMBA and not args.no_kernel,
             include_phases=False,
-            workers=args.full_workers,
-            executor=args.executor,
-            shard=args.shard,
-            include_probe=True,
         )
     payload = build_tiered_payload(tiers)
     if "quick" in tiers and not args.no_reference:
@@ -1286,28 +818,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"GUIDANCE MISMATCH: {problem}", file=sys.stderr)
             return 1
         print("guidance on/off equivalence: OK")
-    if not args.no_kernel:
-        k_problems = check_kernel_equivalence(payload)
-        if k_problems:
-            for problem in k_problems:
-                print(f"KERNEL MISMATCH: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"kernel equivalence vs python fast path: OK "
-            f"(backend: {kernel_backend_name()})"
-        )
-    ran_parallel = ("quick" in tiers and _wants_parallel(args.workers)) or (
-        "full" in tiers and _wants_parallel(args.full_workers)
-    )
-    if ran_parallel:
-        eq_problems = check_parallel_equivalence(payload)
-        if eq_problems:
-            for problem in eq_problems:
-                print(f"PARALLEL MISMATCH: {problem}", file=sys.stderr)
-            return 1
-        print("parallel equivalence vs sequential: OK")
-    for line in _decision_lines(payload):
-        print(line)
     for tier_name, flat in tiers.items():
         summary = flat.get("summary", {})
         if "geomean_speedup" in summary:
@@ -1330,67 +840,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"(min {summary['min_guidance_speedup']:.2f}x, "
                 f"{summary['geomean_expansion_reduction']:.1f}x fewer "
                 "expansions)"
-            )
-        if "geomean_kernel_speedup" in summary:
-            print(
-                f"[{tier_name}] geomean kernel speedup "
-                f"{summary['geomean_kernel_speedup']:.2f}x "
-                f"(min {summary['min_kernel_speedup']:.2f}x, "
-                f"backend {summary.get('kernel_backend', '?')})"
-            )
-        if "geomean_parallel_speedup" in summary:
-            print(
-                f"[{tier_name}] geomean parallel speedup "
-                f"{summary['geomean_parallel_speedup']:.2f}x "
-                f"(min {summary['min_parallel_speedup']:.2f}x, "
-                f"max off-process fraction "
-                f"{summary.get('max_off_process_fraction', 0.0):.2f})"
-            )
-    skip_reason = full_tier_skip_reason(payload)
-    if args.require_engaged:
-        if skip_reason is not None:
-            payload.setdefault("gates", {})["full_tier_engaged"] = {
-                "status": "skipped",
-                "reason": skip_reason,
-            }
-            print(f"full tier parallel engagement: SKIPPED ({skip_reason})")
-        else:
-            problems = check_full_tier_engaged(payload)
-            if problems:
-                for problem in problems:
-                    print(f"NOT ENGAGED: {problem}", file=sys.stderr)
-                return 1
-            payload.setdefault("gates", {})["full_tier_engaged"] = {
-                "status": "ok"
-            }
-            print("full tier parallel engagement: OK")
-    if args.min_parallel_speedup is not None:
-        if skip_reason is not None:
-            payload.setdefault("gates", {})["min_parallel_speedup"] = {
-                "status": "skipped",
-                "reason": skip_reason,
-            }
-            print(
-                f"full tier parallel speedup gate: SKIPPED ({skip_reason})"
-            )
-        else:
-            geo = tiers.get("full", {}).get("summary", {}).get(
-                "geomean_parallel_speedup"
-            )
-            if geo is None or geo < args.min_parallel_speedup:
-                print(
-                    f"PARALLEL SPEEDUP: full-tier geomean "
-                    f"{geo if geo is not None else 'n/a'} is below the "
-                    f"required {args.min_parallel_speedup}",
-                    file=sys.stderr,
-                )
-                return 1
-            payload.setdefault("gates", {})["min_parallel_speedup"] = {
-                "status": "ok"
-            }
-            print(
-                f"full tier geomean parallel speedup {geo:.2f}x >= "
-                f"{args.min_parallel_speedup}"
             )
     if args.phase_table:
         print(render_phase_table(payload))

@@ -69,14 +69,12 @@ MULTI_PIN_BENCHMARKS: List[BenchmarkSpec] = [
     BenchmarkSpec("Test10", 28000, 36.0, True),
 ]
 
-#: The bench ``--tier full`` preset: the sizes where active region
-#: sharding has room to engage (die sides of 170-225 tracks, ~1500-1950
+#: The bench ``--tier full`` preset: dies of 170-225 tracks (~1500-1950
 #: nets after scaling) across both pin models, Test5-Test10. Scales are
 #: chosen per spec so every instance lands in that band — the raw specs
 #: span 170-900 tracks and n^1.42 routing makes the big ones unusable
 #: for a bench loop. Test6 is the known-small member (its spec maxes out
-#: at 170 tracks): it documents where the auto decision *refuses* to
-#: shard.
+#: at 170 tracks).
 FULL_TIER_WORKLOADS: Tuple[str, ...] = (
     "Test5",
     "Test6",

@@ -104,10 +104,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         width=args.width,
         height=args.height,
         num_layers=args.layers,
-        workers=args.workers,
         guidance=args.guidance,
-        shard=args.shard,
-        kernel=args.kernel,
     )
     with observed_command(args, command="route", netlist=args.netlist) as oc:
         pipe = Pipeline(config, store=MemoryStore())
@@ -212,10 +209,7 @@ def _pipeline_config_from_args(args: argparse.Namespace):
             height=args.height,
             num_layers=args.layers,
             router=args.router,
-            workers=args.workers,
             guidance=args.guidance,
-            shard=args.shard,
-            kernel=args.kernel,
             cache_dir=_resolve_cache_dir(args),
         )
     if design.lower().startswith("test"):
@@ -225,10 +219,7 @@ def _pipeline_config_from_args(args: argparse.Namespace):
             seed=args.seed,
             num_layers=args.layers,
             router=args.router,
-            workers=args.workers,
             guidance=args.guidance,
-            shard=args.shard,
-            kernel=args.kernel,
             cache_dir=_resolve_cache_dir(args),
         )
     raise ReproError(
@@ -312,14 +303,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         router=args.router,
     ):
         if args.router == "ours":
-            row = run_proposed(
-                spec,
-                scale=args.scale,
-                seed=args.seed,
-                workers=args.workers,
-                shard=args.shard,
-                kernel=args.kernel,
-            )
+            row = run_proposed(spec, scale=args.scale, seed=args.seed)
         else:
             factory = {
                 "gao-pan": GaoPanTrimRouter,
@@ -429,10 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--height", type=int, required=True, help="grid height in tracks")
     route.add_argument("--layers", type=int, default=3, help="routing layers (default 3)")
     _add_output_flags(route)
-    _add_workers_flag(route)
-    _add_shard_flag(route)
     _add_guidance_flag(route)
-    _add_kernel_flag(route)
     _add_obs_flags(route)
     route.set_defaults(func=_cmd_route)
 
@@ -463,10 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_flag(prun)
     _add_output_flags(prun)
-    _add_workers_flag(prun)
-    _add_shard_flag(prun)
     _add_guidance_flag(prun)
-    _add_kernel_flag(prun)
     _add_obs_flags(prun)
     prun.set_defaults(func=_cmd_pipeline_run)
 
@@ -486,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     pshow.add_argument(
         "--router", choices=("ours", "gao-pan", "cut16", "du"), default="ours"
     )
-    pshow.set_defaults(workers=1, guidance="auto", shard="auto", kernel="auto")
+    pshow.set_defaults(guidance="auto")
     _add_cache_flag(pshow)
     pshow.set_defaults(func=_cmd_pipeline_show)
 
@@ -528,9 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="ours",
         help="which router to run",
     )
-    _add_workers_flag(bench)
-    _add_shard_flag(bench)
-    _add_kernel_flag(bench)
     _add_obs_flags(bench)
     load_group = bench.add_argument_group("bench load")
     load_group.add_argument(
@@ -683,36 +658,6 @@ def _add_output_flags(sub_parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_workers(value: str):
-    """``--workers N`` or ``--workers auto`` (scheduler-predicted)."""
-    if value == "auto":
-        return "auto"
-    return int(value)
-
-
-def _add_workers_flag(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=1,
-        help="route independent nets in parallel with N workers, or "
-        "'auto' to let the batch scheduler predict whether batching "
-        "pays (results are bit-identical to --workers 1 either way)",
-    )
-
-
-def _add_shard_flag(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--shard",
-        choices=("off", "auto", "on"),
-        default="auto",
-        help="region-sharded parallel routing: partition the die into "
-        "halo-separated tiles and route interior nets off the main "
-        "process (bit-identical results in every mode; 'auto' engages "
-        "only when enough nets are tile-interior)",
-    )
-
-
 def _add_guidance_flag(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--guidance",
@@ -721,18 +666,6 @@ def _add_guidance_flag(sub_parser: argparse.ArgumentParser) -> None:
         help="future-cost corridor guidance for the A* fast path "
         "(bit-identical results in every mode; 'auto' builds the map "
         "only for searches that grow past the trigger)",
-    )
-
-
-def _add_kernel_flag(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--kernel",
-        choices=("python", "auto", "numba"),
-        default="auto",
-        help="A* inner-loop implementation: 'python' is the interpreted "
-        "fast path, 'numba' the compiled kernel (bit-identical results; "
-        "falls back to an interpreted run of the same code when numba "
-        "is not installed), 'auto' uses the kernel iff numba imports",
     )
 
 

@@ -302,16 +302,6 @@ class RoutingGrid:
     def blocked_cells(self, layer: int) -> int:
         return int(np.count_nonzero(self._occ[layer] == int(CellState.BLOCKED)))
 
-    def snapshot_window(self, bounds) -> np.ndarray:
-        """Owned copy of the occupancy inside ``(xlo, xhi, ylo, yhi)``.
-
-        All layers, bounds inclusive — the parallel batch router ships
-        these snapshots to workers as self-contained subproblems. The
-        copy is independent of later grid mutations.
-        """
-        xlo, xhi, ylo, yhi = bounds
-        return self._occ[:, xlo : xhi + 1, ylo : yhi + 1].copy()
-
     def copy(self) -> "RoutingGrid":
         """Deep copy (occupancy included) — used by what-if searches."""
         clone = RoutingGrid(self.width, self.height, self.layers, self.rules)

@@ -387,8 +387,7 @@ def collapsed_stacks(path: Union[str, Path]) -> List[str]:
     format of ``flamegraph.pl`` and speedscope ("collapsed"/"folded").
     Each span contributes its *self* time (duration minus direct
     children) at its stack path; identical paths are summed. Roots are
-    whole-run spans like ``route_all``; worker-digest spans folded under
-    ``parallel_batch`` appear as ordinary children.
+    whole-run spans like ``route_all``.
     """
     path = Path(path)
     spans: List[Dict[str, Any]] = []

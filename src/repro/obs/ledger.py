@@ -4,7 +4,7 @@ The ledger is the repo's memory of its own performance. Every CLI
 ``route`` / ``pipeline run`` / ``bench`` invocation (and opted-in bench
 harness runs) appends one :class:`RunRecord` — config hash, workload,
 git sha + package provenance, per-phase seconds, counter totals,
-resource peaks, parallel-decision rationale, outcome — so regressions
+resource peaks, outcome — so regressions
 can be attributed PR-over-PR instead of eyeballed from a point-in-time
 ``BENCH_perf.json``.
 
@@ -71,11 +71,10 @@ class RunRecord:
     counters: Dict[str, float] = field(default_factory=dict)
     resources: Dict[str, float] = field(default_factory=dict)
     provenance: Dict[str, str] = field(default_factory=dict)
-    parallel_decision: Optional[Dict[str, Any]] = None
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "schema": RECORD_SCHEMA,
             "run_id": self.run_id,
             "ts": self.ts,
@@ -90,9 +89,6 @@ class RunRecord:
             "provenance": self.provenance,
             "meta": self.meta,
         }
-        if self.parallel_decision is not None:
-            out["parallel_decision"] = self.parallel_decision
-        return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunRecord":
@@ -108,7 +104,6 @@ class RunRecord:
             counters=dict(data.get("counters") or {}),
             resources=dict(data.get("resources") or {}),
             provenance=dict(data.get("provenance") or {}),
-            parallel_decision=data.get("parallel_decision"),
             meta=dict(data.get("meta") or {}),
         )
 
@@ -121,14 +116,11 @@ class RunRecord:
         return float(self.resources.get("peak_rss_mb", 0.0))
 
     def one_line(self) -> str:
-        decision = ""
-        if self.parallel_decision:
-            decision = f" par={self.parallel_decision.get('decision', '?')}"
         rss = f" {self.peak_rss_mb:7.1f}MB" if self.resources else " " * 10
         return (
             f"{self.run_id:28s} {self.when} {self.command:12s} "
             f"{self.workload:20.20s} {self.config_hash:12.12s} "
-            f"{self.wall_s:8.3f}s{rss} {self.outcome}{decision}"
+            f"{self.wall_s:8.3f}s{rss} {self.outcome}"
         )
 
 
@@ -495,13 +487,6 @@ class RunDiff:
                 f"{row.section:9s} {row.name:28.28s} {row.a:12.4f} "
                 f"{row.b:12.4f} {row.delta:+12.4f} {pct}{flag}"
             )
-        for label, record in (("A", a), ("B", b)):
-            if record.parallel_decision:
-                d = record.parallel_decision
-                lines.append(
-                    f"parallel decision {label}: {d.get('decision', '?')} — "
-                    f"{d.get('reason', '')}"
-                )
         lines.append(
             f"verdict: {self.verdict} ({len(self.regressions)} regressions, "
             f"{len(self.improvements)} improvements)"

@@ -121,37 +121,6 @@ class Tracer:
                     pass
         return leaves
 
-    def record_external(
-        self, name: str, duration_s: float, count: int = 1, **attrs: Any
-    ) -> List[Span]:
-        """Fold already-measured work (e.g. a worker process's searches)
-        into this tracer as finished spans.
-
-        The worker ran ``count`` sections totalling ``duration_s`` that
-        this process never saw; each becomes a span of the mean duration,
-        parented under the caller's current span and marked
-        ``external=True`` so timeline consumers can tell them from
-        locally clocked spans. Start offsets are back-dated from "now" so
-        a child never appears to outlive its parent.
-        """
-        parent = self.current()
-        now = time.perf_counter() - self.epoch
-        each = duration_s / count if count > 0 else 0.0
-        spans: List[Span] = []
-        for _ in range(max(0, count)):
-            self._next_id += 1
-            sp = Span(
-                name=name,
-                span_id=self._next_id,
-                parent_id=parent.span_id if parent is not None else None,
-                start_s=max(0.0, now - each),
-                attrs={"external": True, **attrs},
-                end_s=now,
-            )
-            self.finished.append(sp)
-            spans.append(sp)
-        return spans
-
     # ------------------------------------------------------------------ #
     # Aggregation
     # ------------------------------------------------------------------ #

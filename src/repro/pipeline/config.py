@@ -2,7 +2,7 @@
 
 A :class:`PipelineConfig` pins down everything a run depends on — the
 design source (a netlist file or a paper benchmark instance), grid
-dimensions, layer stack, worker count, overlay cost weights, and the
+dimensions, layer stack, overlay cost weights, and the
 bitmap resolution of the decomposition engine. Stages declare which
 *slice* of the config they depend on (see ``stages.py``), and only that
 slice enters their content hash, so changing e.g. ``bitmap_resolution``
@@ -32,15 +32,10 @@ class PipelineConfig:
     benchmark name, ``Test1``..``Test10``, instantiated at ``scale`` with
     ``seed``).
 
-    ``workers``, ``guidance``, ``shard`` and ``kernel`` deliberately do
-    **not** enter any stage hash: parallel batch routing and
-    region-sharded routing are bit-identical to sequential routing (see
-    ``repro.router.parallel``), guided search is bit-identical to
-    unguided search (see ``repro.router.guidance``), and the compiled
-    search kernel is bit-identical to the interpreted fast path (see
-    ``repro.router.kernel``), so the same design routed with different
-    worker counts, shard modes, guidance modes or kernels shares one
-    routing artifact.
+    ``guidance`` deliberately does **not** enter any stage hash: guided
+    search is bit-identical to unguided search (see
+    ``repro.router.guidance``), so the same design routed with different
+    guidance modes shares one routing artifact.
     """
 
     # --- design source ------------------------------------------------- #
@@ -56,10 +51,7 @@ class PipelineConfig:
 
     # --- routing ------------------------------------------------------- #
     router: str = "ours"
-    workers: Any = 1
     guidance: str = "auto"
-    shard: str = "auto"
-    kernel: str = "auto"
     order: str = "hpwl"
     alpha: float = 1.0
     beta: float = 1.0
@@ -103,15 +95,6 @@ class PipelineConfig:
         if self.guidance not in ("off", "auto", "on"):
             raise PipelineError(
                 f"guidance must be 'off', 'auto' or 'on', got {self.guidance!r}"
-            )
-        if self.shard not in ("off", "auto", "on"):
-            raise PipelineError(
-                f"shard must be 'off', 'auto' or 'on', got {self.shard!r}"
-            )
-        if self.kernel not in ("python", "auto", "numba"):
-            raise PipelineError(
-                f"kernel must be 'python', 'auto' or 'numba', "
-                f"got {self.kernel!r}"
             )
 
     def cost_params(self) -> CostParams:

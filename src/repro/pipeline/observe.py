@@ -9,8 +9,8 @@ place that handles the observability flags now:
   export the JSONL run log, exactly as before;
 * the **run ledger** (on by default, ``--no-ledger`` opts out) — every
   invocation appends a :class:`~repro.obs.ledger.RunRecord` with config
-  hash, per-phase seconds, counter totals, resource peaks, provenance
-  and the parallel-decision rationale, so ``repro obs history`` /
+  hash, per-phase seconds, counter totals, resource peaks and
+  provenance, so ``repro obs history`` /
   ``repro obs diff`` can compare any two runs;
 * the **resource sampler** — started whenever observability is on, so
   peak RSS / CPU land in the phase table and the ledger;
@@ -38,9 +38,7 @@ _CONFIG_KEYS = (
     "scale",
     "seed",
     "router",
-    "workers",
     "guidance",
-    "shard",
 )
 
 
@@ -70,15 +68,6 @@ def _workload_from_meta(meta: Dict[str, Any]) -> str:
         if meta.get(key):
             return str(meta[key])
     return ""
-
-
-def _parallel_decision_from_tracer(ob) -> Optional[Dict[str, Any]]:
-    """The last ``parallel_decision`` event's attributes, if any."""
-    decision = None
-    for span in ob.tracer.finished:
-        if span.name == "parallel_decision":
-            decision = dict(span.attrs)
-    return decision
 
 
 def record_run(
@@ -119,7 +108,6 @@ def record_run(
         phases={k: round(v, 6) for k, v in phase_totals(ob).items()},
         counters=counters,
         resources=resources,
-        parallel_decision=_parallel_decision_from_tracer(ob),
         meta=meta or {},
     )
     with Ledger(ledger_dir) as ledger:

@@ -8,20 +8,10 @@ returns a fully colored, conflict-free routing result.
 """
 
 from .cost import CostParams
-from .astar import (
-    AStarRouter,
-    PrecomputedAttempt,
-    SearchRequest,
-    SearchSubproblem,
-    SubproblemResult,
-    solve_subproblem,
-)
+from .astar import AStarRouter, SearchRequest
 from .guidance import future_cost_map, prune_threshold
 from .overlay_cache import OverlayCostCache, overlay_cost_grid, probe_cell
-from .parallel import BatchScheduler, ParallelRouter, ParallelStats, ShardedRouter
-from .pool import InlineShardPool, SharedOccupancy, WorkerPool
 from .result import NetRoute, RoutingResult
-from .sharding import ShardGrid, ShardPlan, plan_shards, should_shard
 from .sadp_router import SadpRouter
 from .trace import RouterTrace, TraceEvent
 from .io import load_result, save_result
@@ -29,27 +19,12 @@ from .io import load_result, save_result
 __all__ = [
     "CostParams",
     "AStarRouter",
-    "PrecomputedAttempt",
     "SearchRequest",
-    "SearchSubproblem",
-    "SubproblemResult",
-    "solve_subproblem",
     "future_cost_map",
     "prune_threshold",
     "OverlayCostCache",
     "overlay_cost_grid",
     "probe_cell",
-    "BatchScheduler",
-    "ParallelRouter",
-    "ParallelStats",
-    "ShardedRouter",
-    "ShardGrid",
-    "ShardPlan",
-    "plan_shards",
-    "should_shard",
-    "SharedOccupancy",
-    "InlineShardPool",
-    "WorkerPool",
     "NetRoute",
     "RoutingResult",
     "SadpRouter",

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,7 +54,6 @@ from .guidance import (
     future_cost_map,
     prune_threshold,
 )
-from .kernel import resolve_kernel, search_kernel
 from .overlay_cache import OverlayCostCache, overlay_cost_grid
 
 #: A search-space node: (layer, x, y).
@@ -65,22 +63,6 @@ Node = Tuple[int, int, int]
 Bounds = Tuple[int, int, int, int]
 
 _FREE = int(CellState.FREE)
-
-
-def search_window(
-    pts: Sequence[Point], margin: int, width: int, height: int
-) -> Bounds:
-    """The A* window for a point set: bbox + margin, clipped to the die.
-
-    Single source of truth shared by :meth:`AStarRouter._window` and the
-    parallel batch scheduler — the worker-side window-parity guard relies
-    on both sides computing windows with exactly this function.
-    """
-    xlo = max(0, min(p.x for p in pts) - margin)
-    xhi = min(width - 1, max(p.x for p in pts) + margin)
-    ylo = max(0, min(p.y for p in pts) - margin)
-    yhi = min(height - 1, max(p.y for p in pts) + margin)
-    return xlo, xhi, ylo, yhi
 
 
 @dataclass
@@ -149,7 +131,6 @@ class AStarRouter:
         overlay_cache: Optional[OverlayCostCache] = None,
         use_reference: bool = False,
         guidance: str = "off",
-        kernel: str = "python",
     ) -> None:
         self.grid = grid
         self.params = params
@@ -160,14 +141,6 @@ class AStarRouter:
         self._overlay_cache = overlay_cache
         #: Force the dict-based reference implementation.
         self.use_reference = use_reference
-        #: Which fast-path implementation runs the inner loop:
-        #: ``"python"`` (the list-based loop below), ``"numba"`` (the
-        #: compiled kernel in :mod:`repro.router.kernel`, interpreted
-        #: when numba is absent), or ``"auto"`` (kernel iff numba is
-        #: importable). All three are bit-identical; the reference path
-        #: still wins whenever it is selected.
-        self.kernel = kernel
-        self._kernel_enabled = resolve_kernel(kernel)
         #: Future-cost corridor pruning: ``"off"``, ``"on"`` (map built
         #: up front for every fast search), or ``"auto"`` (a search is
         #: upgraded in place once it crosses ``guidance_trigger``
@@ -180,11 +153,6 @@ class AStarRouter:
         #: the build. ``"on"`` ignores it (explicit opt-in).
         self.guidance_min_cells = GUIDANCE_MIN_CELLS
         self.guidance_backend = "auto"
-        #: Guidance maps built ahead of time on this engine's behalf
-        #: (the parallel batch scheduler's batched CSR solves), keyed by
-        #: the same memo key ``activate_guidance`` computes. Consumed
-        #: (popped) on activation and accounted as this engine's builds.
-        self.guidance_premaps: Optional[Dict] = None
         #: Net whose own cells are exempt from the inlined overlay probe.
         self.active_net = -1
         #: Outcome of the most recent search (see class docstring).
@@ -246,8 +214,6 @@ class AStarRouter:
             or self._penalty_cb is not None
         ):
             result = self._search_reference(request, extra_margin)
-        elif self._kernel_enabled:
-            result = self._search_kernel(request, extra_margin)
         else:
             result = self._search_fast(request, extra_margin)
         self.total_searches += 1
@@ -255,33 +221,6 @@ class AStarRouter:
         if result is not None:
             self.last_outcome = "found"
         return result
-
-    # ------------------------------------------------------------------ #
-    # Kernel path: the compiled twin of the fast path
-    # ------------------------------------------------------------------ #
-
-    def _search_kernel(
-        self, request: SearchRequest, extra_margin: int = 0
-    ) -> Optional[SearchResult]:
-        """Run the search through :mod:`repro.router.kernel`.
-
-        The kernel returns the raw ``(nodes, cost, expansions)`` triple
-        (or ``None``, with ``_last_stats``/``last_outcome`` already set
-        exactly as :meth:`_search_fast` sets them); lowering to
-        segments/vias stays here.
-        """
-        out = search_kernel(self, request, extra_margin)
-        if out is None:
-            return None
-        nodes, cost, expansions = out
-        segments, vias = self._lower(nodes)
-        return SearchResult(
-            nodes=nodes,
-            segments=segments,
-            vias=vias,
-            cost=cost,
-            expansions=expansions,
-        )
 
     # ------------------------------------------------------------------ #
     # Fast path: flat-index search state
@@ -443,24 +382,12 @@ class AStarRouter:
             bounds = (xlo, xhi, ylo, yhi)
             cache = self._overlay_cache
             memo = cache is not None and hasattr(cache, "guidance_lookup")
-            premaps = self.guidance_premaps
             dflat = None
             key = None
-            if memo or premaps:
+            if memo:
                 pen_sig = tuple(sorted(pen_map.items())) if pen_map else None
                 key = (bounds, bytes(is_target), pen_sig, self.guidance_backend)
-            if memo:
                 dflat = cache.guidance_lookup(net_id, key)
-            if dflat is None and premaps:
-                pre = premaps.pop(key, None)
-                if pre is not None:
-                    # A map the batch scheduler built ahead of time on
-                    # this search's behalf: account it as this engine's
-                    # build so folded counters equal a sequential run's.
-                    self.total_guidance_builds += 1
-                    dflat = pre.ravel().tolist()
-                    if memo:
-                        cache.guidance_store(net_id, bounds, key, dflat)
             if dflat is None:
                 # Fold the same per-cell extras the search pays (overlay
                 # grid + rip-up penalties) with identical float ops, so
@@ -854,16 +781,15 @@ class AStarRouter:
         gamma, delta_tip = self._overlay_terms
         return overlay_cost_grid(occ, horizontal, bounds, own, gamma, delta_tip)
 
-    def _window(
-        self, request: SearchRequest, extra_margin: int
-    ) -> Tuple[int, int, int, int]:
+    def _window(self, request: SearchRequest, extra_margin: int) -> Bounds:
+        """The search window: pin bbox + margin, clipped to the die."""
         pts = [pt for _, pt in request.sources] + [pt for _, pt in request.targets]
-        return search_window(
-            pts,
-            self.params.search_margin + extra_margin,
-            self.grid.width,
-            self.grid.height,
-        )
+        margin = self.params.search_margin + extra_margin
+        xlo = max(0, min(p.x for p in pts) - margin)
+        xhi = min(self.grid.width - 1, max(p.x for p in pts) + margin)
+        ylo = max(0, min(p.y for p in pts) - margin)
+        yhi = min(self.grid.height - 1, max(p.y for p in pts) + margin)
+        return xlo, xhi, ylo, yhi
 
     @staticmethod
     def _backtrace(parent: Dict[Node, Optional[Node]], goal: Node) -> List[Node]:
@@ -893,393 +819,3 @@ class AStarRouter:
         if run:
             segments.extend(points_to_segments(run_layer, run))
         return segments, vias
-
-
-# ---------------------------------------------------------------------- #
-# Steiner extension (shared by the router and the parallel workers)
-# ---------------------------------------------------------------------- #
-
-
-def extend_with_taps(
-    search: Callable[[SearchRequest], Optional[SearchResult]],
-    net_id: int,
-    tap_groups: Sequence[Tuple[int, Sequence[Point]]],
-    trunk: SearchResult,
-) -> Optional[SearchResult]:
-    """Sequential Steiner extension: attach each tap to the grown tree.
-
-    Every tap search treats all cells of the tree built so far as sources,
-    so branches start wherever is cheapest. ``search`` is the caller's
-    search primitive — the router closes over its engine and rip-up
-    margin, the parallel worker over its window-guarded snapshot engine —
-    so both sides share one tree-growing loop and cannot drift apart.
-    Returns the combined result, or None when any tap is unreachable.
-    """
-    nodes = list(trunk.nodes)
-    node_set = set(nodes)
-    segments = list(trunk.segments)
-    vias = list(trunk.vias)
-    cost = trunk.cost
-    expansions = trunk.expansions
-    for layer, candidates in tap_groups:
-        request = SearchRequest(
-            net_id=net_id,
-            sources=[(node_layer, Point(x, y)) for node_layer, x, y in nodes],
-            targets=[(layer, p) for p in candidates],
-        )
-        sub = search(request)
-        if sub is None:
-            return None
-        for node in sub.nodes:
-            if node not in node_set:
-                node_set.add(node)
-                nodes.append(node)
-        segments.extend(sub.segments)
-        vias.extend(v for v in sub.vias if v not in vias)
-        cost += sub.cost
-        expansions += sub.expansions
-    return SearchResult(
-        nodes=nodes,
-        segments=segments,
-        vias=vias,
-        cost=cost,
-        expansions=expansions,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Window-local subproblems (the parallel batch router's work unit)
-# ---------------------------------------------------------------------- #
-
-
-@dataclass
-class PrecomputedAttempt:
-    """Outcome of a speculative attempt-0 search computed off the live grid.
-
-    Fed into :meth:`repro.router.SadpRouter.route_net`, which consumes it
-    in place of the first search of the rip-up loop. The producer must
-    guarantee the result is what that first search would have returned —
-    the batch router does so by snapshot freshness + the window guard.
-    """
-
-    outcome: str  #: "found" | "failed" | "budget_exhausted"
-    found: Optional[SearchResult] = None
-
-
-@dataclass
-class SearchSubproblem:
-    """A net's attempt-0 search, self-contained and picklable.
-
-    Everything the A* engine reads, frozen at batch-formation time: the
-    occupancy snapshot of the net's expanded window (all layers), die
-    dimensions (so window clamping reproduces the live grid's), layer
-    directions, cost parameters, and the pin candidates in absolute die
-    coordinates. ``overlay_grid``/``overlay_bounds`` optionally carry the
-    trunk window's Eq. (5) grid exported from the main-process
-    :class:`~repro.router.overlay_cache.OverlayCostCache`.
-    """
-
-    net_id: int
-    sources: List[Tuple[int, Point]]
-    targets: List[Tuple[int, Point]]
-    taps: List[Tuple[int, Tuple[Point, ...]]]
-    bounds: Bounds  #: snapshot window, absolute die coordinates
-    occ: "object"  #: np.int32 array (layers, wx, wy) — the window slice
-    die_width: int
-    die_height: int
-    horizontal: List[bool]
-    params: CostParams
-    overlay_terms: Optional[Tuple[float, float]]
-    max_expansions: int = 400_000
-    use_reference: bool = False
-    overlay_grid: Optional["object"] = None
-    overlay_bounds: Optional[Bounds] = None
-    #: Mirrors :attr:`AStarRouter.guidance` so workers prune the same
-    #: corridors the live engine would (results are bit-identical with
-    #: guidance on or off either way; this only matches the *speed*).
-    guidance: str = "off"
-    guidance_trigger: int = AUTO_TRIGGER_EXPANSIONS
-    guidance_min_cells: int = GUIDANCE_MIN_CELLS
-    #: Mirrors :attr:`AStarRouter.kernel` so workers run the same inner
-    #: loop the live engine would (bit-identical either way; speed only).
-    kernel: str = "python"
-    #: Optional pre-built guidance map for the trunk search, computed by
-    #: the batch scheduler's batched CSR solve: ``(key, flat_float64)``
-    #: with ``key`` the worker-side ``activate_guidance`` memo key. A
-    #: key mismatch just means the worker builds its own map.
-    guidance_premap: Optional[Tuple[object, "object"]] = None
-
-
-@dataclass
-class SubproblemResult:
-    """What a worker sends back, in absolute die coordinates.
-
-    ``outcome`` mirrors the engine outcomes plus ``"window_exceeded"``:
-    a search window escaped the snapshot, so the result would not be
-    trustworthy — the scheduler falls back to a live sequential route.
-    ``engine_searches``/``engine_expansions`` are the worker engine's
-    counters, added to the main engine's only when the result is
-    accepted (so counter totals match a sequential run exactly).
-    """
-
-    net_id: int
-    outcome: str
-    nodes: List[Node] = None  # type: ignore[assignment]
-    segments: List[Segment] = None  # type: ignore[assignment]
-    vias: List[Via] = None  # type: ignore[assignment]
-    cost: float = 0.0
-    found_expansions: int = 0
-    engine_searches: int = 0
-    engine_expansions: int = 0
-    engine_guided_searches: int = 0
-    engine_guidance_builds: int = 0
-    #: Picklable observability digest of the worker's searches:
-    #: ``{"spans": [(name, count, total_s), ...],
-    #:   "counters": [(name, ((label, value), ...), amount), ...]}``.
-    #: Always measured (plain perf_counter timing, no obs backend
-    #: involved); the parent folds it into its tracer/registry only for
-    #: process pools, where worker-side recording cannot reach the
-    #: parent. Thread/serial executors record live and need no digest.
-    obs_digest: Optional[Dict] = None
-
-    def to_precomputed(self) -> PrecomputedAttempt:
-        if self.outcome != "found":
-            return PrecomputedAttempt(outcome=self.outcome)
-        return PrecomputedAttempt(
-            outcome="found",
-            found=SearchResult(
-                nodes=self.nodes,
-                segments=self.segments,
-                vias=self.vias,
-                cost=self.cost,
-                expansions=self.found_expansions,
-            ),
-        )
-
-
-class _SubgridView:
-    """Duck-typed stand-in for :class:`RoutingGrid` over a window snapshot.
-
-    Provides exactly the surface :class:`AStarRouter` touches: ``_occ``,
-    ``width``/``height`` (the *window* extent — the engine's coordinates
-    are window-local), ``num_layers``, ``in_bounds`` and
-    ``layer_direction``. The window guard in :func:`solve_subproblem`
-    ensures the coordinate translation cannot change search behaviour.
-    """
-
-    def __init__(self, sub: SearchSubproblem) -> None:
-        self._occ = sub.occ
-        self.num_layers = sub.occ.shape[0]
-        self.width = sub.occ.shape[1]
-        self.height = sub.occ.shape[2]
-        self._directions = [
-            Direction.HORIZONTAL if flag else Direction.VERTICAL
-            for flag in sub.horizontal
-        ]
-
-    def in_bounds(self, layer: int, p: Point) -> bool:
-        return (
-            0 <= layer < self.num_layers
-            and 0 <= p.x < self.width
-            and 0 <= p.y < self.height
-        )
-
-    def layer_direction(self, layer: int) -> Direction:
-        return self._directions[layer]
-
-
-class _PrecomputedOverlay:
-    """Minimal ``grid_for`` provider for a worker engine.
-
-    Serves the exported trunk-window grid when the request matches its
-    bounds (window-local coordinates), and recomputes from the snapshot
-    otherwise — the same arithmetic the live cache would run, so results
-    stay bit-identical either way.
-    """
-
-    def __init__(
-        self,
-        view: _SubgridView,
-        horizontal: List[bool],
-        terms: Tuple[float, float],
-        bounds: Optional[Bounds],
-        grid: Optional["object"],
-    ) -> None:
-        self._view = view
-        self._horizontal = horizontal
-        self._terms = terms
-        self._bounds = bounds
-        self._grid = grid
-
-    def grid_for(self, net_id: int, bounds: Bounds):
-        if self._grid is not None and bounds == self._bounds:
-            return self._grid
-        gamma, delta_tip = self._terms
-        return overlay_cost_grid(
-            self._view._occ, self._horizontal, bounds, net_id, gamma, delta_tip
-        )
-
-
-class _WindowExceeded(Exception):
-    """A sub-search's window (plus overlay pad) escaped the snapshot."""
-
-
-def solve_subproblem(sub: SearchSubproblem) -> SubproblemResult:
-    """Run a net's attempt-0 search inside its snapshot window.
-
-    Executed in worker processes/threads. Pin coordinates are translated
-    into the window frame, the trunk + tap searches run on a fresh
-    engine over the snapshot, and the result is translated back. Before
-    every sub-search a *window-parity guard* checks that (a) the window
-    the live engine would use equals this window shifted by the snapshot
-    origin and (b) that window plus the distance-2 overlay pad, clipped
-    to the die, lies inside the snapshot — together they make the
-    snapshot search read exactly the cells the live search would read,
-    hence return a bit-identical result. A guard miss aborts with
-    outcome ``"window_exceeded"`` (never a wrong answer).
-    """
-    view = _SubgridView(sub)
-    ox = sub.bounds[0]
-    oy = sub.bounds[2]
-    bxlo, bxhi, bylo, byhi = sub.bounds
-    margin = sub.params.search_margin
-
-    overlay_cache = None
-    if sub.overlay_terms is not None:
-        local_bounds = None
-        if sub.overlay_bounds is not None:
-            xlo, xhi, ylo, yhi = sub.overlay_bounds
-            local_bounds = (xlo - ox, xhi - ox, ylo - oy, yhi - oy)
-        overlay_cache = _PrecomputedOverlay(
-            view, sub.horizontal, sub.overlay_terms, local_bounds, sub.overlay_grid
-        )
-    engine = AStarRouter(
-        view,  # type: ignore[arg-type]
-        sub.params,
-        overlay_terms=sub.overlay_terms,
-        overlay_cache=overlay_cache,
-        use_reference=sub.use_reference,
-        guidance=sub.guidance,
-        kernel=sub.kernel,
-    )
-    engine.guidance_trigger = sub.guidance_trigger
-    engine.guidance_min_cells = sub.guidance_min_cells
-    if sub.guidance_premap is not None:
-        key, premap = sub.guidance_premap
-        engine.guidance_premaps = {key: premap}
-    engine.active_net = sub.net_id
-
-    # Observability digest: the worker's searches timed with plain
-    # perf_counter (no obs backend — worker processes have none that
-    # reaches the parent) plus the registry increments the live
-    # AStarRouter.search would have made. Shipped back picklable so the
-    # parent can fold dropped worker-side telemetry in on accept.
-    search_spans = [0, 0.0]  # count, total seconds
-    outcome_counts: Dict[str, int] = {}
-    stat_totals = [0, 0, 0]  # expansions, heap pushes, heap pops
-
-    def guarded_search(request: SearchRequest) -> Optional[SearchResult]:
-        pts = [pt for _, pt in request.sources] + [pt for _, pt in request.targets]
-        local = search_window(pts, margin, view.width, view.height)
-        absolute = search_window(
-            [Point(p.x + ox, p.y + oy) for p in pts],
-            margin,
-            sub.die_width,
-            sub.die_height,
-        )
-        axlo, axhi, aylo, ayhi = absolute
-        if (axlo - ox, axhi - ox, aylo - oy, ayhi - oy) != local:
-            raise _WindowExceeded
-        # Overlay probes read up to 2 cells beyond the window; every such
-        # cell that exists on the die must be in the snapshot.
-        if (
-            max(0, axlo - 2) < bxlo
-            or min(sub.die_width - 1, axhi + 2) > bxhi
-            or max(0, aylo - 2) < bylo
-            or min(sub.die_height - 1, ayhi + 2) > byhi
-        ):
-            raise _WindowExceeded
-        t0 = time.perf_counter()
-        result = engine.search(request)
-        search_spans[0] += 1
-        search_spans[1] += time.perf_counter() - t0
-        outcome_counts[engine.last_outcome] = (
-            outcome_counts.get(engine.last_outcome, 0) + 1
-        )
-        expansions, pushes, pops = engine._last_stats
-        stat_totals[0] += expansions
-        stat_totals[1] += pushes
-        stat_totals[2] += pops
-        return result
-
-    def obs_digest() -> Dict:
-        counters: List[Tuple[str, Tuple[Tuple[str, str], ...], float]] = [
-            ("astar_searches_total", (("outcome", oc),), float(n))
-            for oc, n in sorted(outcome_counts.items())
-        ]
-        counters += [
-            ("astar_nodes_expanded_total", (), float(stat_totals[0])),
-            ("astar_heap_pushes_total", (), float(stat_totals[1])),
-            ("astar_heap_pops_total", (), float(stat_totals[2])),
-        ]
-        return {
-            "spans": [("astar_search", search_spans[0], search_spans[1])],
-            "counters": counters,
-        }
-
-    request = SearchRequest(
-        net_id=sub.net_id,
-        sources=[(layer, Point(p.x - ox, p.y - oy)) for layer, p in sub.sources],
-        targets=[(layer, Point(p.x - ox, p.y - oy)) for layer, p in sub.targets],
-        max_expansions=sub.max_expansions,
-    )
-    try:
-        found = guarded_search(request)
-        if found is not None and sub.taps:
-            found = extend_with_taps(
-                guarded_search,
-                sub.net_id,
-                [
-                    (layer, [Point(p.x - ox, p.y - oy) for p in candidates])
-                    for layer, candidates in sub.taps
-                ],
-                found,
-            )
-    except _WindowExceeded:
-        return SubproblemResult(
-            net_id=sub.net_id,
-            outcome="window_exceeded",
-            engine_searches=engine.total_searches,
-            engine_expansions=engine.total_expansions,
-            engine_guided_searches=engine.total_guided_searches,
-            engine_guidance_builds=engine.total_guidance_builds,
-            obs_digest=obs_digest(),
-        )
-    if found is None:
-        return SubproblemResult(
-            net_id=sub.net_id,
-            outcome=engine.last_outcome,
-            engine_searches=engine.total_searches,
-            engine_expansions=engine.total_expansions,
-            engine_guided_searches=engine.total_guided_searches,
-            engine_guidance_builds=engine.total_guidance_builds,
-            obs_digest=obs_digest(),
-        )
-    shift = Point(ox, oy)
-    return SubproblemResult(
-        net_id=sub.net_id,
-        outcome="found",
-        nodes=[(layer, x + ox, y + oy) for layer, x, y in found.nodes],
-        segments=[
-            Segment(seg.layer, seg.a + shift, seg.b + shift)
-            for seg in found.segments
-        ],
-        vias=[Via(lower=via.lower, at=via.at + shift) for via in found.vias],
-        cost=found.cost,
-        found_expansions=found.expansions,
-        engine_searches=engine.total_searches,
-        engine_expansions=engine.total_expansions,
-        engine_guided_searches=engine.total_guided_searches,
-        engine_guidance_builds=engine.total_guidance_builds,
-        obs_digest=obs_digest(),
-    )

@@ -47,11 +47,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-from .. import obs
 
 try:  # scipy is an install-time dependency, but keep the import soft so
     # the sweep backend can serve minimal environments.
@@ -390,147 +388,3 @@ def future_cost_map(
             passable, cost, horizontal, alpha, beta, wrong_way, target_mask
         )
     raise ValueError(f"unknown guidance backend: {backend!r}")
-
-
-# ---------------------------------------------------------------------- #
-# batched builds
-# ---------------------------------------------------------------------- #
-
-
-def _csgraph_batch(
-    group: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    num_layers: int,
-    pwx: int,
-    pwy: int,
-    horizontal: Sequence[bool],
-    alpha: float,
-    beta: float,
-    wrong_way: float,
-) -> List[np.ndarray]:
-    """Solve several same-padded-shape maps in one Dijkstra call.
-
-    The per-window graphs are stacked block-diagonally: block ``j``
-    reuses the cached single-window CSR skeleton with its columns offset
-    by ``j * n``, each block's data filled from its own cost/passability,
-    and the union of all blocks' target cells given as Dijkstra sources.
-    Blocks share no finite edge (every wrapped/boundary slot carries
-    ``inf``), so each block's distances are exactly what a standalone
-    solve computes — shortest-path distances are the unique fixpoint of
-    min-over-path-sums, independent of traversal interleaving — and the
-    per-block slices are bit-identical to :func:`_csgraph_map` output.
-    """
-    m = len(group)
-    with _lock:
-        struct = _structure_for(
-            num_layers,
-            pwx,
-            pwy,
-            tuple(bool(h) for h in horizontal[:num_layers]),
-            alpha,
-            beta,
-            wrong_way,
-        )
-        n, k = struct.n, struct.k
-        base_cols = np.asarray(struct.graph.indices, dtype=np.int64).reshape(n, k)
-        cols = (
-            base_cols[None, :, :]
-            + (np.arange(m, dtype=np.int64) * n)[:, None, None]
-        ).ravel()
-        indptr = np.arange(0, m * n * k + 1, k, dtype=np.int64)
-        data = np.empty(m * n * k, dtype=np.float64)
-        target_rows = []
-        for j, (padded, cost_p, tmask) in enumerate(group):
-            entry = np.where(padded, cost_p, _INF)
-            block = data[j * n * k : (j + 1) * n * k]
-            np.add(
-                entry.reshape(num_layers, pwx, pwy, 1),
-                struct.steps,
-                out=block.reshape(num_layers, pwx, pwy, k),
-            )
-            block[struct.invalid_idx] = _INF
-            target_rows.append(np.flatnonzero(tmask.ravel()) + j * n)
-        graph = _sp.csr_matrix(
-            (data, cols, indptr), shape=(m * n, m * n), copy=False
-        )
-        dist = _csg.dijkstra(
-            graph, indices=np.concatenate(target_rows), min_only=True
-        )
-    return [
-        dist[j * n : (j + 1) * n].reshape(num_layers, pwx, pwy)
-        for j in range(m)
-    ]
-
-
-def batched_future_cost_maps(
-    items: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    horizontal: Sequence[bool],
-    alpha: float,
-    beta: float,
-    wrong_way: float,
-    backend: str = "auto",
-) -> List[Optional[np.ndarray]]:
-    """Build guidance maps for several queued searches at once.
-
-    ``items`` is a sequence of ``(passable, cost, target_mask)`` triples
-    as :func:`future_cost_map` takes them — same step weights and layer
-    directions, per-search window contents. Windows sharing a padded
-    CSR shape are solved in one block-diagonal ``csgraph`` call (the
-    batch win); singletons and degenerate windows fall through to the
-    per-item path, and without scipy everything does. Entry ``i`` of the
-    returned list is bit-identical to
-    ``future_cost_map(*items[i], ...)``.
-    """
-    results: List[Optional[np.ndarray]] = [None] * len(items)
-    resolved = backend
-    if resolved == "auto":
-        resolved = "csgraph" if HAVE_SCIPY else "sweep"
-    if resolved != "csgraph":
-        for i, (passable, cost, tmask) in enumerate(items):
-            results[i] = future_cost_map(
-                passable, cost, horizontal, alpha, beta, wrong_way, tmask,
-                backend=backend,
-            )
-        return results
-    groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
-    for i, (passable, cost, tmask) in enumerate(items):
-        num_layers, wx, wy = passable.shape
-        if wx < 2 or wy < 2 or not tmask.any():
-            continue  # degenerate, like future_cost_map returning None
-        pwx = -(-wx // _SHAPE_PAD) * _SHAPE_PAD
-        pwy = -(-wy // _SHAPE_PAD) * _SHAPE_PAD
-        groups.setdefault((num_layers, pwx, pwy), []).append(i)
-    for (num_layers, pwx, pwy), members in groups.items():
-        if len(members) == 1:
-            i = members[0]
-            passable, cost, tmask = items[i]
-            results[i] = _csgraph_map(
-                passable, cost, horizontal, alpha, beta, wrong_way, tmask
-            )
-            continue
-        padded_group = []
-        for i in members:
-            passable, cost, tmask = items[i]
-            wx, wy = passable.shape[1], passable.shape[2]
-            if (pwx, pwy) != (wx, wy):
-                p = np.zeros((num_layers, pwx, pwy), dtype=bool)
-                p[:, :wx, :wy] = passable
-                c = np.zeros((num_layers, pwx, pwy), dtype=np.float64)
-                c[:, :wx, :wy] = cost
-                t = np.zeros((num_layers, pwx, pwy), dtype=bool)
-                t[:, :wx, :wy] = tmask
-            else:
-                p, c, t = passable, cost, tmask
-            padded_group.append((p, c, t))
-        dists = _csgraph_batch(
-            padded_group, num_layers, pwx, pwy, horizontal, alpha, beta,
-            wrong_way,
-        )
-        obs.counter_inc("guidance_batch_builds_total")
-        obs.counter_inc("guidance_batched_maps_total", len(members))
-        for i, dist_p in zip(members, dists):
-            passable = items[i][0]
-            wx, wy = passable.shape[1], passable.shape[2]
-            dist = dist_p[:, :wx, :wy].copy()
-            dist[~passable] = _INF
-            results[i] = dist
-    return results

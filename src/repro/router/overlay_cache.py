@@ -294,16 +294,6 @@ class OverlayCostCache:
             :, xlo - sxlo : xhi - sxlo + 1, ylo - sylo : yhi - sylo + 1
         ]
 
-    def export_for(self, net_id: int, bounds: Bounds) -> np.ndarray:
-        """An *owned* copy of the net's cost grid over ``bounds``.
-
-        Same lookup as :meth:`grid_for` (the entry is created/repaired
-        and kept, so a later live search for the net hits the cache),
-        but the returned array is detached from the entry — safe to ship
-        to a worker or hold across subsequent grid mutations.
-        """
-        return self.grid_for(net_id, bounds).copy()
-
     def invalidate_net(self, net_id: int) -> None:
         """Drop a net's entry outright (e.g. the net was re-identified)."""
         self._entries.pop(net_id, None)

@@ -49,14 +49,22 @@ from .quotas import TenantQuotas
 from .worker import InlineWorkerPool, WorkerPool
 
 #: Submission keys forwarded into :class:`PipelineConfig` verbatim.
-_CONFIG_PASSTHROUGH = (
-    "router",
-    "workers",
-    "guidance",
-    "shard",
-    "kernel",
-    "order",
-    "num_layers",
+_CONFIG_PASSTHROUGH = ("router", "guidance", "order", "num_layers")
+
+#: Every top-level submission key the service understands; any other key
+#: is rejected rather than silently dropped.
+_SUBMISSION_KEYS = frozenset(
+    (
+        "tenant",
+        "circuit",
+        "scale",
+        "seed",
+        "design_text",
+        "width",
+        "height",
+        "targets",
+        *_CONFIG_PASSTHROUGH,
+    )
 )
 
 _EVENT_POLL_S = 0.05
@@ -144,6 +152,12 @@ class RoutingService:
         queue the job; returns the initial job snapshot."""
         if not isinstance(payload, dict):
             raise ServiceError("submission body must be a JSON object")
+        unknown_keys = sorted(set(payload) - _SUBMISSION_KEYS)
+        if unknown_keys:
+            raise ServiceError(
+                f"unknown submission keys {unknown_keys}; accepted keys are "
+                f"{sorted(_SUBMISSION_KEYS)}"
+            )
         tenant = str(payload.get("tenant") or tenant or "anon")
         config: Dict[str, Any] = {"cache_dir": self.cache_dir}
         for key in _CONFIG_PASSTHROUGH:

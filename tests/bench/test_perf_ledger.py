@@ -1,10 +1,10 @@
-"""Perf-bench ledger integration: recording, gating, provenance, rationale."""
+"""Perf-bench ledger integration: recording, gating, provenance."""
 
-from repro.bench.perf import _decision_lines, record_to_ledger, run_perf
+from repro.bench.perf import record_to_ledger, run_perf
 from repro.obs.ledger import Ledger
 
 
-def _payload(wall_s=0.5, expansions=1000, phases=None, decision=None):
+def _payload(wall_s=0.5, expansions=1000, phases=None):
     wl = {
         "circuit": "Test1",
         "scale": 0.2,
@@ -16,11 +16,9 @@ def _payload(wall_s=0.5, expansions=1000, phases=None, decision=None):
             "phases_s": phases or {"search": wall_s * 0.6},
         },
     }
-    if decision is not None:
-        wl["parallel_stats"] = {"decision_trace": decision}
     return {
         "schema": "repro-bench-perf/1",
-        "config": {"rounds": 1, "seed": 2014, "workers": 1},
+        "config": {"rounds": 1, "seed": 2014},
         "workloads": [wl],
     }
 
@@ -66,33 +64,6 @@ class TestRecordToLedger:
             _payload(expansions=2000), ledger_dir=root, gate=True
         )
         assert problems == []  # not comparable, so nothing to gate against
-
-    def test_decision_trace_recorded(self, tmp_path):
-        decision = {"decision": "serial", "reason": "predicted fraction low"}
-        record_to_ledger(
-            _payload(decision=decision), ledger_dir=tmp_path / "runs"
-        )
-        with Ledger(tmp_path / "runs") as led:
-            record = led.history()[0]
-        assert record.parallel_decision == decision
-
-
-class TestDecisionLines:
-    def test_renders_rationale(self):
-        decision = {
-            "decision": "serial",
-            "reason": "predicted batched fraction 0.100 < threshold 0.5",
-            "candidates_scanned": 42,
-            "halo_rejects": 17,
-            "multi_net_batches": 0,
-        }
-        lines = _decision_lines(_payload(decision=decision))
-        assert len(lines) == 1
-        assert "parallel decision = serial" in lines[0]
-        assert "halo rejects 17" in lines[0]
-
-    def test_no_lines_without_trace(self):
-        assert _decision_lines(_payload()) == []
 
 
 class TestRunPerfPayload:

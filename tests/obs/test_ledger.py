@@ -26,13 +26,11 @@ class TestRunRecord:
             phases={"search": 0.8},
             counters={"astar_searches_total": 21.0},
             resources={"peak_rss_mb": 120.0},
-            parallel_decision={"decision": "serial", "reason": "tiny"},
         )
         back = RunRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
         assert back.run_id == rec.run_id
         assert back.config_hash == rec.config_hash
         assert back.phases == {"search": 0.8}
-        assert back.parallel_decision["decision"] == "serial"
         assert back.peak_rss_mb == 120.0
 
     def test_config_hash_is_stable_and_order_insensitive(self):
@@ -190,11 +188,8 @@ class TestDiff:
         assert not diff.comparable
         assert "configs differ" in diff.to_text()
 
-    def test_to_text_mentions_parallel_decision_and_verdict(self):
-        a = _record(parallel_decision={"decision": "serial", "reason": "why"})
-        b = _record()
-        text = diff_runs(a, b).to_text()
-        assert "parallel decision A: serial" in text
+    def test_to_text_mentions_verdict(self):
+        text = diff_runs(_record(), _record()).to_text()
         assert "verdict:" in text
 
     def test_custom_thresholds(self):

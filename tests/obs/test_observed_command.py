@@ -62,19 +62,70 @@ class TestLedgerRecording:
         assert record.command == "bench"
         assert record.workload == "Test1@0.1"
 
-    def test_auto_workers_decision_lands_in_record(
-        self, tmp_path, monkeypatch
-    ):
-        ledger_dir = tmp_path / "runs"
+
+class TestLegacyRecords:
+    """Records written before the router lost its ``workers``/``shard``
+    knobs carry a ``parallel_decision`` field, and their config hash
+    covers those knobs. They must stay readable and diffable."""
+
+    def _legacy_and_new(self, netlist_file, ledger_dir, monkeypatch):
+        import hashlib
+
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger_dir))
-        assert main(
-            ["bench", "Test1", "--scale", "0.1", "--workers", "auto"]
-        ) == 0
+        assert _route(netlist_file) == 0
         with Ledger(ledger_dir) as led:
-            record = led.history()[0]
-        assert record.parallel_decision is not None
-        assert record.parallel_decision["decision"] in ("serial", "parallel")
-        assert "reason" in record.parallel_decision
+            new = led.history()[0]
+        legacy = new.to_dict()
+        config = {**legacy["meta"]["config"], "workers": 1, "shard": "auto"}
+        legacy["meta"] = {**legacy["meta"], "config": config}
+        legacy["config_hash"] = hashlib.sha256(
+            json.dumps(config, sort_keys=True, default=str).encode("utf-8")
+        ).hexdigest()[:12]
+        legacy["run_id"] = "r20250101-000000-abcdef"
+        legacy["ts"] = new.ts - 3600.0
+        legacy["parallel_decision"] = {
+            "decision": "serial",
+            "reason": "predicted batched fraction 0.095 < threshold 0.35",
+        }
+        with (ledger_dir / "records.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(legacy, sort_keys=True) + "\n")
+        return legacy, new
+
+    def test_legacy_record_loads(self, netlist_file, tmp_path, monkeypatch):
+        ledger_dir = tmp_path / "runs"
+        legacy, _ = self._legacy_and_new(netlist_file, ledger_dir, monkeypatch)
+        with Ledger(ledger_dir) as led:
+            record = led.get(legacy["run_id"])
+            assert len(led) == 2
+        assert record.config_hash == legacy["config_hash"]
+        assert record.phases == legacy["phases"]
+
+    def test_obs_show_prints_legacy_record(
+        self, netlist_file, tmp_path, monkeypatch, capsys
+    ):
+        legacy, _ = self._legacy_and_new(
+            netlist_file, tmp_path / "runs", monkeypatch
+        )
+        capsys.readouterr()
+        assert main(["obs", "show", legacy["run_id"]]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["run_id"] == legacy["run_id"]
+        assert payload["config_hash"] == legacy["config_hash"]
+
+    def test_obs_diff_legacy_against_new_reports_config_change(
+        self, netlist_file, tmp_path, monkeypatch, capsys
+    ):
+        legacy, new = self._legacy_and_new(
+            netlist_file, tmp_path / "runs", monkeypatch
+        )
+        assert legacy["config_hash"] != new.config_hash
+        capsys.readouterr()
+        assert main(["obs", "diff", legacy["run_id"], new.run_id]) == 0
+        out = capsys.readouterr().out
+        assert legacy["config_hash"] in out
+        assert new.config_hash in out
+        assert "configs differ" in out
+        assert "verdict:" in out
 
 
 class TestObsSubcommands:

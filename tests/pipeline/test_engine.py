@@ -53,25 +53,6 @@ class TestCaching:
         )
         assert second.artifacts["routing"].hash != first.artifacts["routing"].hash
 
-    def test_workers_do_not_change_hashes(self, tmp_path):
-        first = Pipeline(_config(tmp_path, workers=1)).run()
-        second = Pipeline(_config(tmp_path, workers=2)).run()
-        assert second.executed_count == 0
-        assert second.artifacts["routing"].hash == first.artifacts["routing"].hash
-
-    def test_kernel_does_not_change_hashes(self, tmp_path):
-        """The compiled kernel is bit-identical to the python path, so
-        ``kernel`` stays out of every stage hash — all three modes share
-        one routing artifact."""
-        first = Pipeline(_config(tmp_path, kernel="python")).run()
-        for mode in ("auto", "numba"):
-            again = Pipeline(_config(tmp_path, kernel=mode)).run()
-            assert again.executed_count == 0
-            assert (
-                again.artifacts["routing"].hash
-                == first.artifacts["routing"].hash
-            )
-
     def test_memory_store_isolated_per_instance(self, tmp_path):
         config = _config(tmp_path)
         a = Pipeline(config, store=MemoryStore()).run(targets=("route",))

@@ -264,24 +264,6 @@ def test_route_all_equivalence(circuit, scale):
     assert engines["off"].total_guided_searches == 0
 
 
-def test_parallel_guided_matches_serial_guided():
-    """Guidance composes with the parallel batch router: same committed
-    result, and the worker-side guided-search counters fold back into the
-    main engine."""
-    spec = spec_by_name("Test1")
-    grid_s, nets_s = generate_benchmark(spec, scale=0.12, seed=2014)
-    grid_p, nets_p = generate_benchmark(spec, scale=0.12, seed=2014)
-    serial = SadpRouter(grid_s, nets_s, guidance="on")
-    par = SadpRouter(grid_p, nets_p, workers=2, executor="thread", guidance="on")
-    res_s = serial.route_all()
-    res_p = par.route_all()
-    assert res_p.routes.keys() == res_s.routes.keys()
-    for net_id in res_s.routes:
-        assert res_p.routes[net_id].segments == res_s.routes[net_id].segments
-    assert res_p.overlay_units == res_s.overlay_units
-    assert par.engine.total_guided_searches == serial.engine.total_guided_searches
-
-
 def test_sadp_router_rejects_bad_guidance():
     grid = RoutingGrid(10, 10)
     from repro.netlist import Netlist

@@ -94,3 +94,45 @@ class TestRescuePass:
         result = SadpRouter(grid, Netlist(nets)).route_all()
         assert result.cut_conflicts == 0
         assert result.hard_overlays == 0
+
+
+class TestEvictionDuringRepair:
+    #: Eight nets on a 16x24 die whose conflict repair loops: repair
+    #: reroutes offender n7, n7 only fits by evicting n2 and n5 (both are
+    #: rerouted), and the last repair round then force-unroutes n5. The
+    #: result must report n5 as the last round left it — unrouted — not
+    #: with the route its eviction gave it a round earlier, whose cells
+    #: no longer belong to it.
+    DESIGN = """\
+n0 L0 1,12 -> L0 3,11
+n1 L0 4,12 -> L0 2,21
+n2 L0 3,9 -> L0 7,11
+n3 L0 0,11 -> L0 0,14
+n4 L0 14,16 -> L0 9,11
+n5 L0 8,9 -> L0 0,10
+n6 L0 4,9 -> L0 13,21
+n7 L0 3,8 -> L0 14,1
+"""
+
+    def test_latest_assignment_of_an_evicted_net_wins(self):
+        from repro.netlist.io import parse_netlist
+
+        grid = RoutingGrid(16, 24)
+        router = SadpRouter(grid, parse_netlist(self.DESIGN))
+        result = router.route_all()
+        assert result.cut_conflicts == 0
+        claimed = {}
+        for net_id, route in result.routes.items():
+            owned = {(layer, p.x, p.y) for layer, p in grid.cells_of_net(net_id)}
+            cells = {
+                (seg.layer, p.x, p.y) for seg in route.segments for p in seg.points()
+            }
+            if not route.success:
+                assert not cells
+                continue
+            # every reported cell is held by the net on the grid ...
+            assert cells <= owned, f"net {net_id} reports cells it does not own"
+            # ... and by no other reported route
+            for cell in cells:
+                assert claimed.setdefault(cell, net_id) == net_id
+        assert not result.routes[5].success

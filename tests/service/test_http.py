@@ -37,6 +37,43 @@ class TestValidation:
             )
         assert err.value.status == 400
 
+    def test_removed_router_knob_rejected(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.submit({"circuit": "Test1", "scale": 0.1, "workers": 4})
+        assert err.value.status == 400
+        assert "'workers'" in str(err.value)
+
+    def test_misspelt_key_rejected(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.submit({"circuit": "Test1", "sclae": 0.1})
+        assert err.value.status == 400
+        assert "'sclae'" in str(err.value)
+        assert "'scale'" in str(err.value)  # the accepted keys are listed
+
+    def test_every_known_key_accepted(self, client):
+        job = client.submit(
+            {
+                "tenant": "t",
+                "circuit": "Test1",
+                "scale": 0.1,
+                "seed": 7,
+                "targets": ["load_design"],
+                "router": "ours",
+                "guidance": "off",
+                "order": "hpwl",
+                "num_layers": 3,
+            }
+        )
+        assert client.wait(job["job_id"], timeout_s=60)["status"] == "done"
+
+    def test_load_bench_sends_only_known_keys(self):
+        from repro.bench.load import _build_submissions
+        from repro.service.server import _SUBMISSION_KEYS
+
+        for sub in _build_submissions(6, 0.5, "Test1", 0.1, 3):
+            sub.pop("_mix")  # the harness strips it before submitting
+            assert set(sub) <= _SUBMISSION_KEYS
+
     def test_bad_json_body_rejected(self, client):
         status, raw = client._request("POST", "/jobs")
         # empty body parses as {} → missing source, still a clean 400
