@@ -151,8 +151,12 @@ class OverlayConstraintGraph:
         """Remove a net and its incident edges; returns edges removed.
 
         The parity union-find does not support deletion, so it is rebuilt
-        from the surviving hard edges (linear in the number of hard edges,
-        which rip-up frequency keeps negligible).
+        from the surviving hard edges. This reference engine replays every
+        live hard edge on the layer: linear in the layer's hard edges per
+        rebuild, which is far from negligible on rip-up-heavy designs
+        (hundreds of rows per rebuild, thousands of rebuilds on Test5 at
+        scale 0.25). The SoA engine rebuilds only the hard components the
+        removal touched and reaches the same union-find.
         """
         incident = self._incident.pop(net_id, [])
         self._net_stamp.pop(net_id, None)
@@ -187,6 +191,9 @@ class OverlayConstraintGraph:
         ob = obs.get_active()
         if ob is not None:
             ob.registry.counter("ocg_uf_rebuilds_total").inc()
+            ob.registry.counter("ocg_uf_rebuild_rows_total").inc(
+                len(self._hard_edges)
+            )
             self._flush_uf_stats(ob)
 
     def _flush_uf_stats(self, ob) -> None:

@@ -11,6 +11,11 @@ float64 (Table II units, CUT_VETO, HARD=inf), so sums are exact and
 accumulation order cannot change results. Orderings that *do* leak into
 results (edge insertion order, incident traversal order, hard-union
 order, unit-root identity) are replicated exactly from the object path.
+
+The hard union-find is maintained component-locally: a removal marks
+the removed net and its hard neighbours stale, and the deferred rebuild
+forgets and replays only the hard components reachable from them
+(the object path replays every live hard edge on the layer).
 """
 
 from __future__ import annotations
@@ -54,9 +59,10 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
     def __init__(self) -> None:
         super().__init__()
         self._store = EdgeStore()
-        #: Live hard rows in insertion order (replayed by the UF rebuild,
-        #: mirroring the object path's ``_hard_edges`` list).
-        self._hard_rows: List[int] = []
+        #: Removed nets and their hard neighbours since the last rebuild:
+        #: every hard component a removal may have split contains one, so
+        #: the rebuild re-derives just the components reachable from them.
+        self._uf_stale: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -122,7 +128,6 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
         union = self._hard_uf.union
         for sc, row in zip(scenarios, rows):
             if _KIND_IS_HARD_PY[kinds[row]]:
-                self._hard_rows.append(row)
                 if not union(us[row], vs[row], pars[row]):
                     offenders.append(sc)
                     if ob is not None:
@@ -153,7 +158,6 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
                     "ocg_edges_added_total", kind=edge.kind.value
                 ).inc()
             if edge.kind.is_hard:
-                self._hard_rows.append(row)
                 if not self._hard_uf.union(edge.u, edge.v, edge.parity):
                     offenders.append(edge)
                     if ob is not None:
@@ -176,35 +180,62 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
         vs = store.vs
         kinds = store.kinds
         neighbours = set()
-        had_hard = False
+        hard_neighbours = []
         for row in rows:
-            neighbours.add(vs[row] if us[row] == net_id else us[row])
+            other = vs[row] if us[row] == net_id else us[row]
+            neighbours.add(other)
             if _KIND_IS_HARD_PY[kinds[row]]:
-                had_hard = True
+                hard_neighbours.append(other)
         dead = store.kill_net(net_id)
         self._vertices.discard(net_id)
         self._touch(neighbours)
-        if had_hard:
-            doomed = set(dead)
-            self._hard_rows = [r for r in self._hard_rows if r not in doomed]
+        if hard_neighbours:
+            self._uf_stale.add(net_id)
+            self._uf_stale.update(hard_neighbours)
             self._uf_dirty = True
         return len(dead)
 
     def _rebuild_hard_uf(self) -> None:
+        """Re-derive only the hard components the pending removals touched.
+
+        The region is everything reachable over live hard rows from the
+        stale nets: the union of the old components, possibly split.
+        Forgetting it and replaying its rows in ascending row id (rows are
+        append-only, so that is insertion order) repeats the union
+        sequence a full replay would make on those components; the
+        others keep their trees, which that full replay would rebuild
+        identically. Roots, parities and offenders match the object
+        engine's full rebuild exactly.
+        """
         self._uf_dirty = False
-        self._uf_retired_finds += self._hard_uf.find_ops
-        self._uf_retired_unions += self._hard_uf.union_ops
-        self._hard_uf = ParityUnionFind()
+        region = self._uf_stale
+        self._uf_stale = set()
         store = self._store
         us = store.us
         vs = store.vs
+        kinds = store.kinds
         pars = store.pars
-        union = self._hard_uf.union
-        for row in self._hard_rows:
+        incident = store.incident
+        stack = list(region)
+        rows: Set[int] = set()
+        while stack:
+            node = stack.pop()
+            for row in incident.get(node, ()):
+                if _KIND_IS_HARD_PY[kinds[row]] and row not in rows:
+                    rows.add(row)
+                    other = vs[row] if us[row] == node else us[row]
+                    if other not in region:
+                        region.add(other)
+                        stack.append(other)
+        uf = self._hard_uf
+        uf.forget(region)
+        union = uf.union
+        for row in sorted(rows):
             union(us[row], vs[row], pars[row])
         ob = obs.get_active()
         if ob is not None:
             ob.registry.counter("ocg_uf_rebuilds_total").inc()
+            ob.registry.counter("ocg_uf_rebuild_rows_total").inc(len(rows))
             self._flush_uf_stats(ob)
 
     def has_hard_odd_cycle(self) -> bool:

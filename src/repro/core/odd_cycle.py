@@ -44,6 +44,26 @@ class ParityUnionFind:
     def __len__(self) -> int:
         return len(self._parent)
 
+    def forget(self, nodes: Iterable[Hashable]) -> None:
+        """Drop ``nodes`` from the structure; absent ones are ignored.
+
+        ``nodes`` must be a union of whole components: a kept node whose
+        parent chain runs through a forgotten one would dangle. Hard
+        components are disjoint, so a caller that forgets the components
+        an edge deletion touched and replays their surviving edges in
+        their original order gets exactly the trees (roots, ranks,
+        parities) a fresh build would, while every other component keeps
+        its own.
+        """
+        parent = self._parent
+        rank = self._rank
+        parity = self._parity
+        for x in nodes:
+            if x in parent:
+                del parent[x]
+                del rank[x]
+                del parity[x]
+
     def find(self, x: Hashable) -> Tuple[Hashable, int]:
         """(root, parity of x relative to root), with path compression."""
         self.find_ops += 1

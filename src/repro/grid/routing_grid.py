@@ -258,18 +258,23 @@ class RoutingGrid:
                 self._notify_cells(((layer, p.x, p.y),))
 
     def release_net(self, net_id: int) -> int:
-        """Free every cell owned by ``net_id``; returns the number released."""
-        mask = self._occ == net_id
-        count = int(np.count_nonzero(mask))
-        if count and self._listeners:
-            changed = [
-                (int(l), int(x), int(y)) for l, x, y in np.argwhere(mask)
-            ]
-            self._occ[mask] = int(CellState.FREE)
-            self._notify_cells(changed)
-            return count
-        self._occ[mask] = int(CellState.FREE)
-        return count
+        """Free every cell owned by ``net_id``; returns the number released.
+
+        Two passes over the grid (compare, then ``flatnonzero`` on the
+        mask) and index writes to the cells found; counting, listing and
+        assigning through the boolean mask would take four, once per
+        rip-up on the whole die.
+        """
+        occ = self._occ
+        idx = np.flatnonzero(occ == net_id)
+        if not idx.size:
+            return 0
+        cells = np.unravel_index(idx, occ.shape)
+        occ[cells] = int(CellState.FREE)
+        if self._listeners:
+            # Row-major order, as np.argwhere would list them.
+            self._notify_cells(list(zip(*(c.tolist() for c in cells))))
+        return int(idx.size)
 
     # ------------------------------------------------------------------ #
     # Geometry lowering

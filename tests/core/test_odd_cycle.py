@@ -109,3 +109,40 @@ class TestStructure:
         assert uf.relation(0, n) == n % 2
         # Path compression keeps find cheap and correct afterwards.
         assert uf.relation(0, n // 2) == (n // 2) % 2
+
+
+class TestForget:
+    EDGES = [("a", "b", 1), ("c", "d", 0), ("b", "e", 1), ("d", "f", 1),
+             ("a", "e", 0), ("e", "g", 1), ("f", "h", 0)]
+
+    def test_forget_and_replay_matches_fresh_build(self):
+        uf, _ = ParityUnionFind.from_edges(self.EDGES)
+        # Drop edge (b, e): component {a, b, e, g} is re-derived from its
+        # surviving edges, replayed in their original order.
+        kept = [e for e in self.EDGES if e != ("b", "e", 1)]
+        region = {"a", "b", "e", "g"}
+        uf.forget(region)
+        assert all(x not in uf for x in region)
+        for u, v, parity in kept:
+            if u in region:
+                assert uf.union(u, v, parity)
+        fresh, _ = ParityUnionFind.from_edges(kept)
+        for node in "abcdefgh":
+            assert uf.find(node) == fresh.find(node)
+
+    def test_forget_absent_nodes_is_a_no_op(self):
+        uf, _ = ParityUnionFind.from_edges(self.EDGES)
+        before = {x: uf.find(x) for x in "abcdefgh"}
+        size = len(uf)
+        uf.forget(["zz", "yy"])
+        uf.forget([])
+        assert len(uf) == size
+        assert {x: uf.find(x) for x in "abcdefgh"} == before
+
+    def test_other_components_untouched(self):
+        uf, _ = ParityUnionFind.from_edges(self.EDGES)
+        others = {x: uf.find(x) for x in "cdfh"}
+        uf.forget({"a", "b", "e", "g"})
+        assert len(uf) == 4
+        assert {x: uf.find(x) for x in "cdfh"} == others
+        assert uf.relation("c", "h") == 1

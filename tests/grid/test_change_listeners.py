@@ -57,6 +57,18 @@ def test_release_net_reports_every_cell(grid, recorder):
     assert sorted(recorder.cells) == [(0, 0, 5), (0, 1, 5), (0, 2, 5)]
 
 
+def test_release_net_reports_row_major_and_spares_others(grid, recorder):
+    cells = [(2, 1, 1), (0, 7, 3), (0, 2, 9), (1, 4, 4), (0, 2, 1)]
+    for layer, x, y in cells:
+        grid.occupy(layer, Point(x, y), 9)
+    grid.occupy(1, Point(5, 5), 8)
+    recorder.cells.clear()
+    assert grid.release_net(9) == len(cells)
+    assert recorder.cells == sorted(cells)
+    assert all(grid.is_free(l, Point(x, y)) for l, x, y in cells)
+    assert grid.owner(1, Point(5, 5)) == 8
+
+
 def test_release_net_of_absent_net_is_silent(grid, recorder):
     assert grid.release_net(42) == 0
     assert recorder.cells == []

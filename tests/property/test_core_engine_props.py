@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ConstraintEdge,
+    DetectedScenario,
     EdgeStore,
     OverlayConstraintGraph,
     ScenarioDetector,
@@ -26,7 +27,7 @@ from repro.core import constraint_graph_soa, scenario_detect
 from repro.core.color_flip import brute_force_coloring, flip_colors
 from repro.core.edge_store import SCENARIO_ORDER
 from repro.errors import ColoringError, GridError
-from repro.geometry import Point, Segment
+from repro.geometry import Point, Rect, Segment
 from repro.grid import CellState, RoutingGrid
 
 NODES = list(range(10))
@@ -130,6 +131,110 @@ class TestVectorFlipEquivalence:
         assert ev_soa.overlay_units == ev_obj.overlay_units
         assert ev_soa.hard_violations == ev_obj.hard_violations
         assert ev_soa.cut_risks == ev_obj.cut_risks
+
+
+# Hard-heavy edge batches on few nets, so random removals regularly
+# split hard components and strand odd-cycle offender rows.
+UF_NODES = list(range(7))
+uf_batch = st.lists(
+    st.tuples(
+        st.sampled_from(UF_NODES), st.sampled_from(UF_NODES),
+        st.one_of(hard_types, hard_types, soft_types),
+        st.booleans(), st.integers(1, 3),
+    ).filter(lambda e: e[0] != e[1]),
+    min_size=1,
+    max_size=5,
+)
+uf_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("scenarios"), uf_batch),
+        st.tuples(st.just("edges"), uf_batch),
+        st.tuples(st.just("remove"), st.sampled_from(UF_NODES)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+_RECT = Rect(0, 0, 1, 1)
+
+
+def _apply_uf_op(obj, soa, op):
+    """One mutation on both graphs; returns each graph's result (the
+    offenders' endpoints, or the edge count a removal dropped)."""
+    kind, arg = op
+    if kind == "remove":
+        return obj.remove_net(arg), soa.remove_net(arg)
+    edges = [ConstraintEdge.from_scenario(*e) for e in arg]
+    obj_off = [(e.u, e.v) for e in obj.add_edges(edges)]
+    if kind == "edges":
+        soa_off = [(e.u, e.v) for e in soa.add_edges(edges)]
+    else:
+        soa_off = [
+            (sc.net_a, sc.net_b)
+            for sc in soa.add_scenarios([
+                DetectedScenario(0, u, v, t, tip, ov, _RECT, _RECT)
+                for u, v, t, tip, ov in arg
+            ])
+        ]
+    return obj_off, soa_off
+
+
+def _assert_same_hard_state(obj, soa):
+    assert soa.has_hard_odd_cycle() == obj.has_hard_odd_cycle()
+    for node in UF_NODES:
+        assert soa.hard_component_of(node) == obj.hard_component_of(node)
+
+
+class TestComponentLocalUnionFind:
+    """The SoA engine rebuilds only the hard components a removal
+    touched; the object engine replays every live hard edge. Both must
+    agree on offenders, odd-cycle state and every (root, parity)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(uf_ops)
+    def test_random_interleavings_match_object_engine(self, ops):
+        obj = OverlayConstraintGraph()
+        soa = SoAOverlayConstraintGraph()
+        for op in ops:
+            got_obj, got_soa = _apply_uf_op(obj, soa, op)
+            assert got_soa == got_obj
+            _assert_same_hard_state(obj, soa)
+
+    @pytest.mark.parametrize("query_between", [False, True])
+    def test_splits_and_stranded_offenders(self, query_between):
+        """Removals that split a component, keep offender rows
+        offending, and turn a stranded offender into a plain union —
+        with and without queries in between (a query runs the deferred
+        rebuild early, so removals are batched only without them)."""
+        d = ScenarioType.T1A  # hard-different, parity 1
+        script = [
+            # (op, arg, hard odd cycle afterwards)
+            ("edges", [(0, 1, d, True, 1), (1, 2, d, True, 1),
+                       (2, 3, d, True, 1), (3, 4, d, True, 1),
+                       (4, 5, d, True, 1)], False),
+            # 0~2 and 1~3 are already equal-colored: both offend.
+            ("scenarios", [(0, 2, d, True, 1), (1, 3, d, True, 1)], True),
+            ("remove", 4, True),  # splits off 5; offenders stay
+            ("remove", 1, False),  # 0-2 now a plain union, 1-3 dies
+            ("scenarios", [(3, 0, d, True, 1), (5, 6, d, True, 1)], True),
+            ("remove", 2, False),  # splits 0-2-3; 3-0 now a union
+        ]
+        obj = OverlayConstraintGraph()
+        soa = SoAOverlayConstraintGraph()
+        offenders = []
+        for kind, arg, odd in script:
+            got_obj, got_soa = _apply_uf_op(obj, soa, (kind, arg))
+            assert got_soa == got_obj
+            if kind != "remove":
+                offenders.append(got_obj)
+            if query_between:
+                _assert_same_hard_state(obj, soa)
+            assert soa.has_hard_odd_cycle() is odd
+        _assert_same_hard_state(obj, soa)
+        assert offenders == [[], [(0, 2), (1, 3)], [(3, 0)]]
+        assert soa.hard_component_of(0)[0] == soa.hard_component_of(3)[0]
+        assert soa.hard_component_of(5)[0] == soa.hard_component_of(6)[0]
+        assert soa.hard_component_of(0)[0] != soa.hard_component_of(5)[0]
 
 
 scenario_rows = st.lists(
