@@ -15,13 +15,12 @@ from .scenario_detect import (
     ScenarioDetector,
     ShapeRecord,
     VectorScenarioDetector,
-    make_detector,
 )
 from .edges import ConstraintEdge, EdgeKind
 from .edge_store import EdgeStore
 from .odd_cycle import ParityUnionFind
 from .constraint_graph import OverlayConstraintGraph
-from .constraint_graph_soa import SoAOverlayConstraintGraph, make_constraint_graph
+from .constraint_graph_soa import SoAOverlayConstraintGraph
 from .pseudo_color import pseudo_color
 from .color_flip import flip_colors, optimal_tree_coloring
 from .cut_conflict import CutConflict, CutConflictChecker
@@ -39,14 +38,12 @@ __all__ = [
     "ScenarioDetector",
     "ShapeRecord",
     "VectorScenarioDetector",
-    "make_detector",
     "ConstraintEdge",
     "EdgeKind",
     "EdgeStore",
     "ParityUnionFind",
     "OverlayConstraintGraph",
     "SoAOverlayConstraintGraph",
-    "make_constraint_graph",
     "pseudo_color",
     "flip_colors",
     "optimal_tree_coloring",

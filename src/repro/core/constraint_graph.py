@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..color import Color
 from .edges import ConstraintEdge, EdgeKind
 from .odd_cycle import ParityUnionFind
+from .scenario_detect import DetectedScenario
 from .scenarios import HARD
 
 
@@ -146,6 +147,24 @@ class OverlayConstraintGraph:
         if ob is not None:
             self._flush_uf_stats(ob)
         return offenders
+
+    def add_scenarios(
+        self, scenarios: Sequence[DetectedScenario]
+    ) -> List[DetectedScenario]:
+        """Insert one edge per detected scenario; returns the scenarios
+        whose hard edges closed odd cycles (in insertion order).
+
+        The router's commit API: one :class:`ConstraintEdge` per scenario,
+        inserted through :meth:`add_edges`.
+        """
+        edges = [
+            ConstraintEdge.from_scenario(
+                sc.net_a, sc.net_b, sc.scenario, sc.a_is_tip_owner, sc.overlap
+            )
+            for sc in scenarios
+        ]
+        scenario_of_edge = {id(edge): sc for edge, sc in zip(edges, scenarios)}
+        return [scenario_of_edge[id(edge)] for edge in self.add_edges(edges)]
 
     def remove_net(self, net_id: int) -> int:
         """Remove a net and its incident edges; returns edges removed.

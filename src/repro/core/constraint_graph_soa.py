@@ -627,16 +627,3 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
                     ],
                 )
         return ug
-
-
-def make_constraint_graph(backend: str = "soa") -> OverlayConstraintGraph:
-    """Factory for the constraint-graph backends.
-
-    ``"soa"`` is the vectorized engine; ``"object"`` the per-object
-    bit-exact reference (the PR-2 ``use_reference`` template).
-    """
-    if backend == "soa":
-        return SoAOverlayConstraintGraph()
-    if backend == "object":
-        return OverlayConstraintGraph()
-    raise ValueError(f"unknown constraint-graph backend: {backend!r}")

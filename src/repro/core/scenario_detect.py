@@ -578,14 +578,3 @@ class VectorScenarioDetector:
                     )
                 )
         return out
-
-
-def make_detector(
-    num_layers: int, backend: str = "vector", include_trivial: bool = False
-):
-    """Factory for the detector backends ("vector" | "object")."""
-    if backend == "vector":
-        return VectorScenarioDetector(num_layers, include_trivial=include_trivial)
-    if backend == "object":
-        return ScenarioDetector(num_layers, include_trivial=include_trivial)
-    raise ValueError(f"unknown detector backend: {backend!r}")

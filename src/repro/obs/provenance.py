@@ -1,10 +1,10 @@
 """Best-effort run provenance: who produced a measurement, with what.
 
-A ledger entry or a ``BENCH_perf.json`` snapshot is only comparable to
-another one when both say what code and what numeric stack produced
-them. :func:`collect_provenance` gathers the cheap, always-available
-facts — package version, interpreter, numpy/scipy versions, and (when
-the working directory is a git checkout) the commit sha and dirty flag.
+A ledger entry is only comparable to another one when both say what
+code and what numeric stack produced them. :func:`collect_provenance`
+gathers the cheap, always-available facts — package version,
+interpreter, numpy/scipy versions, and (when the working directory is a
+git checkout) the commit sha and dirty flag.
 Everything is best-effort: a missing git binary or a non-repo directory
 degrades to omitting the git fields, never to an exception.
 """

@@ -31,11 +31,6 @@ class PipelineConfig:
     design file; requires ``width``/``height``) or ``circuit`` (a paper
     benchmark name, ``Test1``..``Test10``, instantiated at ``scale`` with
     ``seed``).
-
-    ``guidance`` deliberately does **not** enter any stage hash: guided
-    search is bit-identical to unguided search (see
-    ``repro.router.guidance``), so the same design routed with different
-    guidance modes shares one routing artifact.
     """
 
     # --- design source ------------------------------------------------- #
@@ -51,7 +46,6 @@ class PipelineConfig:
 
     # --- routing ------------------------------------------------------- #
     router: str = "ours"
-    guidance: str = "auto"
     order: str = "hpwl"
     alpha: float = 1.0
     beta: float = 1.0
@@ -91,10 +85,6 @@ class PipelineConfig:
         if self.bitmap_resolution <= 0:
             raise PipelineError(
                 f"bitmap_resolution must be positive, got {self.bitmap_resolution}"
-            )
-        if self.guidance not in ("off", "auto", "on"):
-            raise PipelineError(
-                f"guidance must be 'off', 'auto' or 'on', got {self.guidance!r}"
             )
 
     def cost_params(self) -> CostParams:

@@ -23,15 +23,15 @@ two implementations that are *exactly* path- and cost-equivalent:
 * the **reference path** (:meth:`AStarRouter._search_reference`) is the
   original dict-based implementation. It is kept as the executable
   specification — the equivalence tests assert both produce identical
-  node sequences and costs — and is selected automatically whenever the
-  generic per-cell callbacks (``overlay_cost`` / ``penalty``) are in use,
-  or explicitly via ``use_reference=True``.
+  node sequences and costs — and is selected whenever the generic
+  per-cell callbacks (``overlay_cost`` / ``penalty``) are in use.
 
-The fast path optionally prunes its open list against an exact
-future-cost map (:mod:`repro.router.guidance`, the ``guidance`` knob):
-off-corridor heap entries are discarded without changing the surviving
-search, so results stay bit-identical to the unguided fast path while
-large searches expand a fraction of the window.
+Once a fast search on a large enough window passes ``guidance_trigger``
+expansions, it prunes its open list against an exact future-cost map
+(:mod:`repro.router.guidance`): off-corridor heap entries are discarded
+without changing the surviving search, so results stay bit-identical to
+the unguided fast path while large searches expand a fraction of the
+window.
 """
 
 from __future__ import annotations
@@ -129,8 +129,6 @@ class AStarRouter:
         penalty_map: Optional[Dict[Tuple[int, int, int], float]] = None,
         overlay_terms: Optional[Tuple[float, float]] = None,
         overlay_cache: Optional[OverlayCostCache] = None,
-        use_reference: bool = False,
-        guidance: str = "off",
     ) -> None:
         self.grid = grid
         self.params = params
@@ -139,26 +137,22 @@ class AStarRouter:
         self._penalty_map = penalty_map
         self._overlay_terms = overlay_terms
         self._overlay_cache = overlay_cache
-        #: Force the dict-based reference implementation.
-        self.use_reference = use_reference
-        #: Future-cost corridor pruning: ``"off"``, ``"on"`` (map built
-        #: up front for every fast search), or ``"auto"`` (a search is
-        #: upgraded in place once it crosses ``guidance_trigger``
-        #: unguided expansions — small searches never pay for a map).
-        #: The reference path ignores this and stays the oracle.
-        self.guidance = guidance
+        #: Future-cost corridor pruning: a fast search is upgraded in
+        #: place once it crosses ``guidance_trigger`` unguided expansions
+        #: (0 builds the map up front), so small searches never pay for
+        #: a map. The reference path ignores this and stays the oracle.
         self.guidance_trigger = AUTO_TRIGGER_EXPANSIONS
-        #: ``"auto"`` never builds a map for windows below this many
-        #: cells — the unguided flood over such a window is cheaper than
-        #: the build. ``"on"`` ignores it (explicit opt-in).
+        #: Windows below this many cells never build a map — the
+        #: unguided flood over such a window is cheaper than the build
+        #: (``math.inf`` turns guidance off).
         self.guidance_min_cells = GUIDANCE_MIN_CELLS
-        self.guidance_backend = "auto"
+        self.guidance_backend = "csgraph"
         #: Net whose own cells are exempt from the inlined overlay probe.
         self.active_net = -1
         #: Outcome of the most recent search (see class docstring).
         self.last_outcome = "failed"
         #: Cumulative counters, always on (plain int adds per search) so
-        #: the perf bench can report expansions/sec with observability off.
+        #: search work can be compared with observability off.
         self.total_searches = 0
         self.total_expansions = 0
         #: Searches that activated a guidance map / maps actually built
@@ -208,11 +202,7 @@ class AStarRouter:
     ) -> Optional[SearchResult]:
         self._last_stats = (0, 0, 0)
         self.last_outcome = "failed"
-        if (
-            self.use_reference
-            or self._overlay_cb is not None
-            or self._penalty_cb is not None
-        ):
+        if self._overlay_cb is not None or self._penalty_cb is not None:
             result = self._search_reference(request, extra_margin)
         else:
             result = self._search_fast(request, extra_margin)
@@ -354,23 +344,17 @@ class AStarRouter:
         # encodes "no target reachable from any source": every entry
         # prunes and the search fails immediately with the same
         # ``"failed"`` outcome the exhausted unguided search reaches.
-        gmode = self.guidance
         gd = None
         thr = inf
-        if gmode == "on":
-            trigger = 0
-        elif gmode == "auto":
-            # Upgrade mid-search once the expansion count proves the
-            # search is not trivially small; nothing before the trigger
-            # differs from an unguided run, so the switch is seamless.
-            # Windows too small to amortize a map build never upgrade —
-            # even a fully flooded small window costs less than the solve.
-            if num_layers * wx * wy < self.guidance_min_cells:
-                trigger = -1
-            else:
-                trigger = self.guidance_trigger
-        else:
+        # Upgrade mid-search once the expansion count proves the search
+        # is not trivially small; nothing before the trigger differs from
+        # an unguided run, so the switch is seamless. Windows too small
+        # to amortize a map build never upgrade — even a fully flooded
+        # small window costs less than the solve.
+        if num_layers * wx * wy < self.guidance_min_cells:
             trigger = -1
+        else:
+            trigger = self.guidance_trigger
 
         def activate_guidance():
             passable_np = (occ_win == _FREE) | (occ_win == net_id)

@@ -25,9 +25,9 @@ cost-tied optimal entry.)
 
 Two backends build the same map:
 
-* ``csgraph`` (production, default when scipy is importable): the window
-  graph is assembled as a fixed-slot CSR matrix with fully vectorized
-  numpy index arithmetic — per-cell in-edges are ``[via down, in-layer
+* ``csgraph`` (production, the default): the window graph is
+  assembled as a fixed-slot CSR matrix with fully vectorized numpy
+  index arithmetic — per-cell in-edges are ``[via down, in-layer
   back, in-layer forward, via up]`` (plus the two wrong-way slots when
   enabled), invalid slots carry ``inf`` which ``scipy.sparse.csgraph``
   treats as a non-edge — and one multi-source ``dijkstra(min_only=True)``
@@ -51,23 +51,16 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # scipy is an install-time dependency, but keep the import soft so
-    # the sweep backend can serve minimal environments.
-    import scipy.sparse as _sp
-    import scipy.sparse.csgraph as _csg
-
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only without scipy
-    _sp = _csg = None
-    HAVE_SCIPY = False
+import scipy.sparse as _sp
+import scipy.sparse.csgraph as _csg
 
 #: Slack added to the corridor bound: far above accumulated float64
 #: summation-order noise (~1e-10 on realistic path costs), far below any
 #: genuine cost difference the parameter set can produce.
 PRUNE_EPS = 1e-6
 
-#: Default number of unguided expansions after which ``guidance="auto"``
-#: switches the running search over to map-guided pruning.
+#: Default number of unguided expansions after which a fast search
+#: switches over to map-guided pruning (``AStarRouter.guidance_trigger``).
 AUTO_TRIGGER_EXPANSIONS = 192
 
 #: Windows smaller than this (total cells, all layers) never activate
@@ -361,7 +354,7 @@ def future_cost_map(
     beta: float,
     wrong_way: float,
     target_mask: np.ndarray,
-    backend: str = "auto",
+    backend: str = "csgraph",
 ) -> Optional[np.ndarray]:
     """Exact cost-to-go of every window cell toward the target set.
 
@@ -375,11 +368,7 @@ def future_cost_map(
     num_layers, wx, wy = passable.shape
     if wx < 2 or wy < 2 or not target_mask.any():
         return None
-    if backend == "auto":
-        backend = "csgraph" if HAVE_SCIPY else "sweep"
     if backend == "csgraph":
-        if not HAVE_SCIPY:
-            raise RuntimeError("csgraph guidance backend requires scipy")
         return _csgraph_map(
             passable, cost, horizontal, alpha, beta, wrong_way, target_mask
         )

@@ -191,7 +191,7 @@ class OverlayCostCache:
         ]
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
         self._guidance: "OrderedDict[int, _GuidanceEntry]" = OrderedDict()
-        # stats (plain ints; read by the perf bench and tests)
+        # stats (plain ints, readable with observability off)
         self.hits = 0
         self.misses = 0
         self.repaired_cells = 0

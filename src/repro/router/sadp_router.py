@@ -24,15 +24,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .. import obs
 from ..color import Color
 from ..core import (
-    ConstraintEdge,
     CutConflictChecker,
     DetectedScenario,
     OverlayConstraintGraph,
-    ScenarioDetector,
     ScenarioType,
+    SoAOverlayConstraintGraph,
+    VectorScenarioDetector,
     flip_colors,
-    make_constraint_graph,
-    make_detector,
     pseudo_color,
 )
 from ..core.cut_conflict import CriticalCut
@@ -57,8 +55,6 @@ class SadpRouter:
         enable_t2b_penalty: bool = True,
         enable_merge: bool = True,
         order: str = "hpwl",
-        guidance: str = "auto",
-        core: str = "vector",
     ) -> None:
         self.grid = grid
         self.netlist = netlist
@@ -67,29 +63,18 @@ class SadpRouter:
         self.enable_t2b_penalty = enable_t2b_penalty
         #: Net-ordering strategy (see Netlist.ordered_for_routing).
         self.order = order
-        #: Future-cost corridor guidance for the A* fast path
-        #: ("off" | "auto" | "on") — bit-identical results for every
-        #: value; see repro.router.guidance.
-        if guidance not in ("off", "auto", "on"):
-            raise ValueError(f"unknown guidance mode: {guidance!r}")
-        self.guidance = guidance
-        #: Constraint-engine backend ("vector" | "object") — "vector" runs
-        #: the SoA edge store, batched scenario detection, and vectorized
-        #: coloring; "object" is the bit-exact per-object reference path.
-        #: Results are identical for both values (gated in CI).
-        if core not in ("vector", "object"):
-            raise ValueError(f"unknown core backend: {core!r}")
-        self.core = core
         #: Ablation knob for contribution 1: with the merge technique
         #: disabled, abutting tips (type 1-b) cannot be merged-and-cut —
         #: every 1-b scenario forces a rip-up, as in the trim process.
         self.enable_merge = enable_merge
 
-        detector_backend = "vector" if core == "vector" else "object"
-        graph_backend = "soa" if core == "vector" else "object"
-        self.detector = make_detector(grid.num_layers, backend=detector_backend)
+        # The batched scenario detector and the SoA constraint graphs.
+        # Their per-object twins (ScenarioDetector, OverlayConstraintGraph)
+        # speak the same API and reach the same routes; the equivalence
+        # tests swap them in as the oracle.
+        self.detector = VectorScenarioDetector(grid.num_layers)
         self.graphs: List[OverlayConstraintGraph] = [
-            make_constraint_graph(graph_backend) for _ in range(grid.num_layers)
+            SoAOverlayConstraintGraph() for _ in range(grid.num_layers)
         ]
         self.colorings: List[Dict[int, Color]] = [
             {} for _ in range(grid.num_layers)
@@ -123,7 +108,6 @@ class SadpRouter:
                 (params.gamma, params.delta_tip) if enable_t2b_penalty else None
             ),
             overlay_cache=self.overlay_cache,
-            guidance=guidance,
         )
         self._reserve_pins()
 
@@ -399,17 +383,10 @@ class SadpRouter:
     def _commit_inner(
         self, net_id: int, found: SearchResult, route: NetRoute
     ) -> bool:
-        use_vector = self.core == "vector"
-        if use_vector:
-            # One validated bulk write + one change notification for the
-            # whole path instead of a per-cell occupy/notify loop.
-            self.grid.occupy_many(found.nodes, net_id)
-        else:
-            for layer, x, y in found.nodes:
-                self.grid.occupy(layer, Point(x, y), net_id)
+        # One validated bulk write + one change notification for the
+        # whole path instead of a per-cell occupy/notify loop.
+        self.grid.occupy_many(found.nodes, net_id)
 
-        edges_by_layer: Dict[int, List[ConstraintEdge]] = {}
-        scenario_of_edge: Dict[int, DetectedScenario] = {}
         scenarios_by_layer: Dict[int, List[DetectedScenario]] = {}
         merge_violations: List[DetectedScenario] = []
         with obs.span("ocg_update", net_id=net_id):
@@ -421,16 +398,7 @@ class SadpRouter:
                     # pair is undecomposable, so the net must reroute.
                     merge_violations.append(sc)
                     continue
-                if use_vector:
-                    # SoA graphs build edge rows from the scenarios in one
-                    # table gather — no per-object ConstraintEdge needed.
-                    scenarios_by_layer.setdefault(sc.layer, []).append(sc)
-                    continue
-                edge = ConstraintEdge.from_scenario(
-                    sc.net_a, sc.net_b, sc.scenario, sc.a_is_tip_owner, sc.overlap
-                )
-                edges_by_layer.setdefault(sc.layer, []).append(edge)
-                scenario_of_edge[id(edge)] = sc
+                scenarios_by_layer.setdefault(sc.layer, []).append(sc)
         if merge_violations:
             cells = [(sc.layer, sc.rect_a) for sc in merge_violations]
             for sc in merge_violations:
@@ -439,13 +407,8 @@ class SadpRouter:
             return False
         offender_scs: List[DetectedScenario] = []
         with obs.span("ocg_update", net_id=net_id):
-            if use_vector:
-                for layer, scs in scenarios_by_layer.items():
-                    offender_scs.extend(self.graphs[layer].add_scenarios(scs))
-            else:
-                for layer, edges in edges_by_layer.items():
-                    for edge in self.graphs[layer].add_edges(edges):
-                        offender_scs.append(scenario_of_edge[id(edge)])
+            for layer, scs in scenarios_by_layer.items():
+                offender_scs.extend(self.graphs[layer].add_scenarios(scs))
             for layer in self._net_layers(found.segments):
                 self.graphs[layer].add_vertex(net_id)
 

@@ -49,7 +49,7 @@ from .quotas import TenantQuotas
 from .worker import InlineWorkerPool, WorkerPool
 
 #: Submission keys forwarded into :class:`PipelineConfig` verbatim.
-_CONFIG_PASSTHROUGH = ("router", "guidance", "order", "num_layers")
+_CONFIG_PASSTHROUGH = ("router", "order", "num_layers")
 
 #: Every top-level submission key the service understands; any other key
 #: is rejected rather than silently dropped.

@@ -1,8 +1,11 @@
 """Behavioural tests of the three baseline routers."""
 
+import math
+
 import pytest
 
 from repro.baselines import CutNoMergeRouter, DuTrimRouter, GaoPanTrimRouter
+from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.geometry import Point
 from repro.grid import RoutingGrid
 from repro.netlist import Net, Netlist, Pin
@@ -118,3 +121,35 @@ class TestDuTrim:
         ours = route(SadpRouter, nets)
         theirs = route(DuTrimRouter, nets)
         assert theirs.cpu_seconds > ours.cpu_seconds
+
+
+@pytest.mark.parametrize(
+    "router_cls", [GaoPanTrimRouter, CutNoMergeRouter, DuTrimRouter]
+)
+def test_guidance_keeps_baseline_routes(router_cls):
+    """The baselines search with the engine's default guidance policy.
+    Turning it off (``guidance_min_cells = inf``) must commit the same
+    routes from no fewer expansions."""
+    spec = spec_by_name("Test1")
+    runs = {}
+    for mode in ("off", "default"):
+        grid, nets = generate_benchmark(spec, scale=0.2, seed=2014)
+        router = router_cls(grid, nets)
+        if mode == "off":
+            router.engine.guidance_min_cells = math.inf
+        runs[mode] = (router.route_all(), router.engine)
+    (off, off_engine), (res, engine) = runs["off"], runs["default"]
+    assert res.routes.keys() == off.routes.keys()
+    for net_id, a in res.routes.items():
+        b = off.routes[net_id]
+        assert a.success == b.success, f"net {net_id} success diverged"
+        assert a.segments == b.segments, f"net {net_id} path diverged"
+        assert a.vias == b.vias, f"net {net_id} vias diverged"
+    assert res.overlay_nm == off.overlay_nm
+    assert res.cut_conflicts == off.cut_conflicts
+    assert off_engine.total_guided_searches == 0
+    assert engine.total_searches == off_engine.total_searches
+    assert engine.total_expansions <= off_engine.total_expansions
+    if router_cls is not DuTrimRouter:
+        # Du's pin-pair searches all finish under the trigger here.
+        assert engine.total_guided_searches > 0

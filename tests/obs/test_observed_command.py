@@ -66,29 +66,44 @@ class TestLedgerRecording:
 class TestLegacyRecords:
     """Records written before the router lost its ``workers``/``shard``
     knobs carry a ``parallel_decision`` field, and their config hash
-    covers those knobs. They must stay readable and diffable."""
+    covers those knobs. Records of the retired perf harness carry
+    command ``bench-perf`` and a config hash over ``guidance``. They
+    must stay readable and diffable."""
 
-    def _legacy_and_new(self, netlist_file, ledger_dir, monkeypatch):
+    def _append_legacy(self, ledger_dir, new, run_id, config_extra, **fields):
         import hashlib
 
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger_dir))
-        assert _route(netlist_file) == 0
-        with Ledger(ledger_dir) as led:
-            new = led.history()[0]
         legacy = new.to_dict()
-        config = {**legacy["meta"]["config"], "workers": 1, "shard": "auto"}
+        config = {**legacy["meta"]["config"], **config_extra}
         legacy["meta"] = {**legacy["meta"], "config": config}
         legacy["config_hash"] = hashlib.sha256(
             json.dumps(config, sort_keys=True, default=str).encode("utf-8")
         ).hexdigest()[:12]
-        legacy["run_id"] = "r20250101-000000-abcdef"
+        legacy["run_id"] = run_id
         legacy["ts"] = new.ts - 3600.0
-        legacy["parallel_decision"] = {
-            "decision": "serial",
-            "reason": "predicted batched fraction 0.095 < threshold 0.35",
-        }
+        legacy.update(fields)
         with (ledger_dir / "records.jsonl").open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(legacy, sort_keys=True) + "\n")
+        return legacy
+
+    def _new_record(self, netlist_file, ledger_dir, monkeypatch):
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger_dir))
+        assert _route(netlist_file) == 0
+        with Ledger(ledger_dir) as led:
+            return led.history()[0]
+
+    def _legacy_and_new(self, netlist_file, ledger_dir, monkeypatch):
+        new = self._new_record(netlist_file, ledger_dir, monkeypatch)
+        legacy = self._append_legacy(
+            ledger_dir,
+            new,
+            "r20250101-000000-abcdef",
+            {"workers": 1, "shard": "auto"},
+            parallel_decision={
+                "decision": "serial",
+                "reason": "predicted batched fraction 0.095 < threshold 0.35",
+            },
+        )
         return legacy, new
 
     def test_legacy_record_loads(self, netlist_file, tmp_path, monkeypatch):
@@ -127,6 +142,35 @@ class TestLegacyRecords:
         assert "configs differ" in out
         assert "verdict:" in out
 
+
+    def test_bench_perf_record_with_guidance(
+        self, netlist_file, tmp_path, monkeypatch, capsys
+    ):
+        ledger_dir = tmp_path / "runs"
+        new = self._new_record(netlist_file, ledger_dir, monkeypatch)
+        legacy = self._append_legacy(
+            ledger_dir,
+            new,
+            "r20250102-000000-fedcba",
+            {"guidance": "auto"},
+            command="bench-perf",
+        )
+        with Ledger(ledger_dir) as led:
+            record = led.get(legacy["run_id"])
+        assert record.command == "bench-perf"
+        assert record.config_hash == legacy["config_hash"] != new.config_hash
+
+        capsys.readouterr()
+        assert main(["obs", "show", legacy["run_id"]]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["command"] == "bench-perf"
+        assert payload["meta"]["config"]["guidance"] == "auto"
+
+        assert main(["obs", "diff", legacy["run_id"], new.run_id]) == 0
+        out = capsys.readouterr().out
+        assert legacy["config_hash"] in out
+        assert new.config_hash in out
+        assert "configs differ" in out
 
 class TestObsSubcommands:
     def _two_runs(self, netlist_file, ledger_dir, monkeypatch):

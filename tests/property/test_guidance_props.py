@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.router.guidance import (
-    HAVE_SCIPY,
     PRUNE_EPS,
     future_cost_map,
     prune_threshold,
@@ -124,7 +123,7 @@ def windows(draw):
     return passable, cost, horizontal, alpha, beta, wrong_way, targets
 
 
-BACKENDS = ["sweep"] + (["csgraph"] if HAVE_SCIPY else [])
+BACKENDS = ["sweep", "csgraph"]
 
 
 # ---------------------------------------------------------------------- #
@@ -158,8 +157,6 @@ def test_map_equals_reference_dijkstra(backend, window):
 @given(windows())
 @settings(max_examples=40, deadline=None)
 def test_backends_agree(window):
-    if not HAVE_SCIPY:
-        pytest.skip("csgraph backend requires scipy")
     passable, cost, horizontal, alpha, beta, wrong_way, targets = window
     a = future_cost_map(
         passable, cost, horizontal, alpha, beta, wrong_way, targets,

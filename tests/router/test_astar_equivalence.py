@@ -8,6 +8,7 @@ overlay terms) and end-to-end through the full SadpRouter flow on
 seeded Test1/Test6 instances (fixed and multi-candidate pins).
 """
 
+import math
 import random
 
 import pytest
@@ -26,9 +27,16 @@ def _random_occupancy(grid: RoutingGrid, rng: random.Random, fill: float) -> Non
                     grid.occupy(layer, Point(x, y), rng.randrange(1, 20))
 
 
+def use_reference(engine: AStarRouter) -> AStarRouter:
+    """Route every search of ``engine`` through the reference path."""
+    engine._search_fast = engine._search_reference
+    return engine
+
+
 def _engines(grid, params, **kwargs):
     fast = AStarRouter(grid, params, **kwargs)
-    ref = AStarRouter(grid, params, use_reference=True, **kwargs)
+    fast.guidance_min_cells = math.inf  # the unguided fast path
+    ref = use_reference(AStarRouter(grid, params, **kwargs))
     return fast, ref
 
 
@@ -129,7 +137,7 @@ def test_route_all_equivalence(circuit, scale):
     grid_ref, nets_ref = generate_benchmark(spec, scale=scale, seed=2014)
     fast_router = SadpRouter(grid_fast, nets_fast)
     ref_router = SadpRouter(grid_ref, nets_ref)
-    ref_router.engine.use_reference = True
+    use_reference(ref_router.engine)
 
     res_fast = fast_router.route_all()
     res_ref = ref_router.route_all()

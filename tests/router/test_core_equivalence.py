@@ -1,24 +1,35 @@
 """Vector-core vs object-core equivalence, end to end.
 
-``core="vector"`` swaps the constraint-graph/coloring/commit engine for
-the SoA edge store, the vector scenario detector, and the batched grid
-writes; ``core="object"`` keeps the one-object-per-edge reference. The
-swap is a pure representation change, so the full route_all flow —
-ripups, colorings, overlay accounting, cut-conflict elimination — must
-be bit-identical between the two on every seeded instance.
+``SadpRouter`` commits through the vector engine: the SoA edge store,
+the vector scenario detector, and batched grid writes. The
+one-object-per-edge reference (:class:`ScenarioDetector` +
+:class:`OverlayConstraintGraph`) speaks the same API and is swapped in
+here as the oracle. The swap is a pure representation change, so the
+full route_all flow — ripups, colorings, overlay accounting,
+cut-conflict elimination — must be bit-identical between the two on
+every seeded instance.
 """
 
 import pytest
 
 from repro.bench.workloads import generate_benchmark, spec_by_name
+from repro.core import OverlayConstraintGraph, ScenarioDetector
 from repro.router import SadpRouter
+
+
+def make_router(grid, nets, core: str) -> SadpRouter:
+    """A router on the vector engine, or on the object oracle."""
+    router = SadpRouter(grid, nets)
+    if core == "object":
+        router.detector = ScenarioDetector(grid.num_layers)
+        router.graphs = [OverlayConstraintGraph() for _ in range(grid.num_layers)]
+    return router
 
 
 def _route(circuit: str, scale: float, seed: int, core: str):
     spec = spec_by_name(circuit)
     grid, nets = generate_benchmark(spec, scale=scale, seed=seed)
-    router = SadpRouter(grid, nets, core=core)
-    return router.route_all()
+    return make_router(grid, nets, core).route_all()
 
 
 def _route_signature(result):
@@ -51,9 +62,3 @@ class TestCoreEquivalenceEndToEnd:
         assert vec.cut_conflicts == obj.cut_conflicts
         assert vec.total_ripups == obj.total_ripups
         assert vec.color_flips == obj.color_flips
-
-    def test_core_knob_is_validated(self):
-        spec = spec_by_name("Test1")
-        grid, nets = generate_benchmark(spec, scale=0.06, seed=1)
-        with pytest.raises(ValueError):
-            SadpRouter(grid, nets, core="fancy")

@@ -11,6 +11,8 @@ from repro.grid import RoutingGrid
 from repro.router import SadpRouter
 from repro.router.overlay_cache import OverlayCostCache
 
+from .test_guidance import set_mode
+
 
 class TestGuidanceCacheCounters:
     def _cache(self):
@@ -46,12 +48,14 @@ class TestGuidanceCacheCounters:
         assert cache.guidance_lookup(1, key) is None
 
     def test_counters_reach_the_ledger_registry(self):
-        """End-to-end: a guidance="on" route records cache activity that
+        """End-to-end: a guidance-on route records cache activity that
         ``record_run`` will pick up generically from the registry."""
         spec = spec_by_name("Test1")
         grid, nets = generate_benchmark(spec, scale=0.12, seed=2014)
         with obs.session() as ob:
-            SadpRouter(grid, nets, guidance="on").route_all()
+            router = SadpRouter(grid, nets)
+            set_mode(router.engine, "on")
+            router.route_all()
             names = {entry["metric"] for entry in ob.registry.snapshot()}
             misses = ob.registry.total("guidance_cache_misses_total")
         assert "guidance_cache_misses_total" in names

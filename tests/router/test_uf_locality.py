@@ -11,15 +11,14 @@ and the vector engine must replay a small fraction of the rows.
 
 from repro import obs
 from repro.bench.workloads import generate_benchmark, spec_by_name
-from repro.router import SadpRouter
 
-from .test_core_equivalence import _route_signature
+from .test_core_equivalence import _route_signature, make_router
 
 
 def _route_counted(core: str):
     grid, nets = generate_benchmark(spec_by_name("Test5"), scale=0.12, seed=7)
     with obs.session() as ob:
-        result = SadpRouter(grid, nets, core=core).route_all()
+        result = make_router(grid, nets, core).route_all()
         counters = {
             name: ob.registry.counter(name).value
             for name in ("ocg_uf_rebuilds_total", "ocg_uf_rebuild_rows_total")

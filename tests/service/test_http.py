@@ -38,10 +38,11 @@ class TestValidation:
         assert err.value.status == 400
 
     def test_removed_router_knob_rejected(self, client):
-        with pytest.raises(ServiceError) as err:
-            client.submit({"circuit": "Test1", "scale": 0.1, "workers": 4})
-        assert err.value.status == 400
-        assert "'workers'" in str(err.value)
+        for key, value in (("workers", 4), ("guidance", "off")):
+            with pytest.raises(ServiceError) as err:
+                client.submit({"circuit": "Test1", "scale": 0.1, key: value})
+            assert err.value.status == 400
+            assert f"'{key}'" in str(err.value)
 
     def test_misspelt_key_rejected(self, client):
         with pytest.raises(ServiceError) as err:
@@ -59,7 +60,6 @@ class TestValidation:
                 "seed": 7,
                 "targets": ["load_design"],
                 "router": "ours",
-                "guidance": "off",
                 "order": "hpwl",
                 "num_layers": 3,
             }
