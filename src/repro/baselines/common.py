@@ -14,7 +14,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..color import Color
-from ..core.scenario_detect import DetectedScenario, ScenarioDetector, ShapeRecord
+from ..core.scenario_detect import (
+    DetectedScenario,
+    ShapeRecord,
+    VectorScenarioDetector,
+)
 from ..geometry import Point, Segment
 from ..grid import RoutingGrid
 from ..netlist import Net, Netlist
@@ -38,7 +42,7 @@ class BaselineRouterBase:
         self.grid = grid
         self.netlist = netlist
         self.params = params or CostParams(gamma=0.0)  # no overlay term in Eq. 5
-        self.detector = ScenarioDetector(grid.num_layers)
+        self.detector = VectorScenarioDetector(grid.num_layers)
         self.colorings: List[Dict[int, Color]] = [
             {} for _ in range(grid.num_layers)
         ]

@@ -39,10 +39,6 @@ _IDX = {Color.CORE: 0, Color.SECOND: 1}
 CostMatrix = List[List[float]]
 
 
-def _zero_matrix() -> CostMatrix:
-    return [[0.0, 0.0], [0.0, 0.0]]
-
-
 def _matrix_spread(m: CostMatrix) -> float:
     flat = [m[i][j] for i in range(2) for j in range(2)]
     return max(flat) - min(flat)

@@ -358,23 +358,6 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
             totals.append(float(dp[sel, (cu << 1) | cv].sum()))
         return totals[0], totals[1]
 
-    def net_has_cut_risk(self, net_id: int, coloring: Dict[int, Color]) -> bool:
-        """Any incident edge in a cut-risk combo under ``coloring``?"""
-        store = self._store
-        rows = store.incident.get(net_id)
-        if not rows:
-            return False
-        us = store.us
-        vs = store.vs
-        risk4 = store.risk4
-        get = coloring.get
-        for row in rows:
-            cu = _CIDX[get(us[row], Color.CORE)]
-            cv = _CIDX[get(vs[row], Color.CORE)]
-            if risk4[row][(cu << 1) | cv]:
-                return True
-        return False
-
     # ------------------------------------------------------------------ #
     # Components
     # ------------------------------------------------------------------ #

@@ -11,7 +11,7 @@ invalidates decompose/verify but leaves routing artifacts valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..errors import PipelineError
@@ -138,8 +138,3 @@ class PipelineConfig:
 
     def decompose_slice(self) -> Dict[str, Any]:
         return {"bitmap_resolution": self.bitmap_resolution}
-
-    def with_router(self, router: str, **overrides: Any) -> "PipelineConfig":
-        """A copy targeting a different router variant (shares every
-        upstream artifact of the same design)."""
-        return replace(self, router=router, **overrides)

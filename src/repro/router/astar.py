@@ -21,10 +21,9 @@ two implementations that are *exactly* path- and cost-equivalent:
   is attached, and the sparse rip-up ``penalty_map`` is folded into the
   flat cost array once per search;
 * the **reference path** (:meth:`AStarRouter._search_reference`) is the
-  original dict-based implementation. It is kept as the executable
-  specification — the equivalence tests assert both produce identical
-  node sequences and costs — and is selected whenever the generic
-  per-cell callbacks (``overlay_cost`` / ``penalty``) are in use.
+  original dict-based implementation. Production never runs it; it is
+  kept as the executable specification — the equivalence tests call it
+  directly and assert both produce identical node sequences and costs.
 
 Once a fast search on a large enough window passes ``guidance_trigger``
 expansions, it prunes its open list against an exact future-cost map
@@ -39,7 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,17 +100,14 @@ class SearchResult:
 class AStarRouter:
     """The inner search engine; stateless apart from grid references.
 
-    Cost hooks, in order of preference:
+    Cost hooks:
 
     * ``penalty_map`` — a ``{(layer, x, y): cost}`` dict folded into the
       flat cost array once per search (the rip-up penalties; cheap);
     * ``overlay_terms=(gamma, delta_tip)`` — enables the Eq. (5)
       overlay grid against ``active_net`` (set per routed net);
     * ``overlay_cache`` — an :class:`OverlayCostCache` serving the
-      Eq. (5) grid from memo instead of recomputing it per search;
-    * ``overlay_cost`` / ``penalty`` — optional generic per-cell
-      callbacks. These route the search through the reference
-      implementation (slower; used by tests and experiments).
+      Eq. (5) grid from memo instead of recomputing it per search.
 
     After every :meth:`search`, :attr:`last_outcome` reports ``"found"``,
     ``"failed"`` (exhausted the window — the target is unreachable), or
@@ -124,16 +120,12 @@ class AStarRouter:
         self,
         grid: RoutingGrid,
         params: CostParams,
-        overlay_cost: Optional[Callable[[int, Point], float]] = None,
-        penalty: Optional[Callable[[int, Point], float]] = None,
         penalty_map: Optional[Dict[Tuple[int, int, int], float]] = None,
         overlay_terms: Optional[Tuple[float, float]] = None,
         overlay_cache: Optional[OverlayCostCache] = None,
     ) -> None:
         self.grid = grid
         self.params = params
-        self._overlay_cb = overlay_cost
-        self._penalty_cb = penalty
         self._penalty_map = penalty_map
         self._overlay_terms = overlay_terms
         self._overlay_cache = overlay_cache
@@ -146,19 +138,10 @@ class AStarRouter:
         #: unguided flood over such a window is cheaper than the build
         #: (``math.inf`` turns guidance off).
         self.guidance_min_cells = GUIDANCE_MIN_CELLS
-        self.guidance_backend = "csgraph"
         #: Net whose own cells are exempt from the inlined overlay probe.
         self.active_net = -1
         #: Outcome of the most recent search (see class docstring).
         self.last_outcome = "failed"
-        #: Cumulative counters, always on (plain int adds per search) so
-        #: search work can be compared with observability off.
-        self.total_searches = 0
-        self.total_expansions = 0
-        #: Searches that activated a guidance map / maps actually built
-        #: (memo hits count as guided but not as builds).
-        self.total_guided_searches = 0
-        self.total_guidance_builds = 0
         self._last_stats = (0, 0, 0)
         # Layer directions are immutable for a grid's lifetime — hoisted
         # out of the per-search setup.
@@ -202,12 +185,7 @@ class AStarRouter:
     ) -> Optional[SearchResult]:
         self._last_stats = (0, 0, 0)
         self.last_outcome = "failed"
-        if self._overlay_cb is not None or self._penalty_cb is not None:
-            result = self._search_reference(request, extra_margin)
-        else:
-            result = self._search_fast(request, extra_margin)
-        self.total_searches += 1
-        self.total_expansions += self._last_stats[0]
+        result = self._search_fast(request, extra_margin)
         if result is not None:
             self.last_outcome = "found"
         return result
@@ -365,12 +343,12 @@ class AStarRouter:
             )
             bounds = (xlo, xhi, ylo, yhi)
             cache = self._overlay_cache
-            memo = cache is not None and hasattr(cache, "guidance_lookup")
+            memo = cache is not None
             dflat = None
             key = None
             if memo:
                 pen_sig = tuple(sorted(pen_map.items())) if pen_map else None
-                key = (bounds, bytes(is_target), pen_sig, self.guidance_backend)
+                key = (bounds, bytes(is_target), pen_sig)
                 dflat = cache.guidance_lookup(net_id, key)
             if dflat is None:
                 # Fold the same per-cell extras the search pays (overlay
@@ -392,11 +370,10 @@ class AStarRouter:
                     beta,
                     params.wrong_way_factor,
                     tmask,
-                    backend=self.guidance_backend,
                 )
                 if dmap is None:
                     return None, inf  # degenerate window: stay unguided
-                self.total_guidance_builds += 1
+                obs.counter_inc("guidance_maps_built_total")
                 # Flatten to a Python list: the prune checks do one
                 # scalar read per relaxation, and list indexing is ~3x
                 # cheaper than numpy scalar indexing from the loop.
@@ -413,7 +390,7 @@ class AStarRouter:
                 v = cost[sidx] + dflat[sidx]
                 if v < t:
                     t = v
-            self.total_guided_searches += 1
+            obs.counter_inc("astar_guided_searches_total")
             return dflat, (prune_threshold(t) if t < inf else -inf)
 
         if trigger == 0:
@@ -569,10 +546,7 @@ class AStarRouter:
         alpha = params.alpha
         beta = params.beta
         wrong_way = alpha * params.wrong_way_factor if params.wrong_way_factor else 0.0
-        use_inline = self._overlay_terms is not None
         pen_map = self._penalty_map
-        overlay_cb = self._overlay_cb
-        penalty_cb = self._penalty_cb
         horizontal = self._horizontal
 
         # Precompute the Eq. (5) overlay term over the window: occupancy
@@ -581,25 +555,19 @@ class AStarRouter:
         # always recomputes from scratch — it is the ground truth the
         # cached fast path is checked against.
         cost_grid = None
-        if use_inline:
-            cost_grid = self._overlay_cost_grid(
-                occ, horizontal, (xlo, xhi, ylo, yhi), self.active_net
+        if self._overlay_terms is not None:
+            gamma, delta_tip = self._overlay_terms
+            cost_grid = overlay_cost_grid(
+                occ, horizontal, (xlo, xhi, ylo, yhi), self.active_net,
+                gamma, delta_tip,
             )
-
-        have_pen = pen_map is not None
-        have_cbs = overlay_cb is not None or penalty_cb is not None
 
         def cell_cost(layer: int, x: int, y: int) -> float:
             cost = 0.0
-            if have_pen and pen_map:
+            if pen_map:
                 cost += pen_map.get((layer, x, y), 0.0)
             if cost_grid is not None:
                 cost += cost_grid[layer, x - xlo, y - ylo]
-            if have_cbs:
-                if overlay_cb is not None:
-                    cost += overlay_cb(layer, Point(x, y))
-                if penalty_cb is not None:
-                    cost += penalty_cb(layer, Point(x, y))
             return cost
 
         # Admissible via lower bound for the heuristic: moving across a
@@ -755,15 +723,6 @@ class AStarRouter:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-
-    def _overlay_cost_grid(self, occ, horizontal, bounds, own: int):
-        """Vectorised Eq. (5) overlay term over the search window.
-
-        Thin wrapper over :func:`repro.router.overlay_cache.overlay_cost_grid`
-        (kept as a method for the tests and experiments that call it).
-        """
-        gamma, delta_tip = self._overlay_terms
-        return overlay_cost_grid(occ, horizontal, bounds, own, gamma, delta_tip)
 
     def _window(self, request: SearchRequest, extra_margin: int) -> Bounds:
         """The search window: pin bbox + margin, clipped to the die."""

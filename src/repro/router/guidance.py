@@ -23,24 +23,15 @@ bit-identical cost, only without expanding the off-corridor bulk.
 numpy map and the sequential Python g-accumulation cannot evict a
 cost-tied optimal entry.)
 
-Two backends build the same map:
-
-* ``csgraph`` (production, the default): the window graph is
-  assembled as a fixed-slot CSR matrix with fully vectorized numpy
-  index arithmetic — per-cell in-edges are ``[via down, in-layer
-  back, in-layer forward, via up]`` (plus the two wrong-way slots when
-  enabled), invalid slots carry ``inf`` which ``scipy.sparse.csgraph``
-  treats as a non-edge — and one multi-source ``dijkstra(min_only=True)``
-  from the target cells solves it in C. Structures (indices/indptr/step
-  tables) are LRU-cached per window shape so repeat searches only pay
-  the data fill.
-* ``sweep`` (pure numpy, the executable specification): iterated
-  backward Bellman–Ford relaxation where each round closes every grid
-  line with a binary-lifting min-plus prefix scan along the layer's
-  travel axes and couples layers through a vectorized via relaxation,
-  until a fixpoint. The fixpoint of the full relaxation operator is the
-  exact distance, so both backends agree; the property tests pin them
-  to each other and to a scalar reference Dijkstra.
+The map is built by assembling the window graph as a fixed-slot CSR
+matrix with fully vectorized numpy index arithmetic — per-cell in-edges
+are ``[via down, in-layer back, in-layer forward, via up]`` (plus the two
+wrong-way slots when enabled), invalid slots carry ``inf`` which
+``scipy.sparse.csgraph`` treats as a non-edge — and solving it with one
+multi-source ``dijkstra(min_only=True)`` from the target cells in C.
+Structures (indices/indptr/step tables) are LRU-cached per window shape
+so repeat searches only pay the data fill. The property tests pin the
+map to a scalar reference Dijkstra.
 """
 
 from __future__ import annotations
@@ -68,8 +59,8 @@ AUTO_TRIGGER_EXPANSIONS = 192
 #: map build it would be pruned by.
 GUIDANCE_MIN_CELLS = 2048
 
-#: Window extents are padded up to multiples of this inside the csgraph
-#: backend so the CSR structure cache hits across similar windows.
+#: Window extents are padded up to multiples of this so the CSR
+#: structure cache hits across similar windows.
 #: Padded cells are impassable (``inf`` entry cost), so the map restricted
 #: to the real window is exact.
 _SHAPE_PAD = 8
@@ -83,7 +74,7 @@ def prune_threshold(total: float) -> float:
 
 
 # ---------------------------------------------------------------------- #
-# csgraph backend
+# csgraph solve
 # ---------------------------------------------------------------------- #
 
 
@@ -258,90 +249,6 @@ def _csgraph_map(
 
 
 # ---------------------------------------------------------------------- #
-# sweep backend
-# ---------------------------------------------------------------------- #
-
-
-def _lift_scan(D: np.ndarray, W: np.ndarray, axis: int) -> np.ndarray:
-    """Exact 1D min-plus closure along ``axis`` by binary lifting.
-
-    ``W[cell]`` is the cost of *entering* the cell while travelling along
-    the axis (``inf`` blocks). Both directions are scanned from the same
-    input (a non-negative-cost 1D shortest path never reverses), and the
-    per-hop weight tables double each pass, so ``ceil(log2(n))`` passes
-    close lines of any length.
-    """
-    Dm = np.moveaxis(D, axis, -1)
-    Wm = np.moveaxis(W, axis, -1)
-    n = Dm.shape[-1]
-    fwd = Dm.copy()
-    gain = np.full_like(Wm, _INF)
-    gain[..., 1:] = Wm[..., :-1]
-    bwd = Dm.copy()
-    gain_b = np.full_like(Wm, _INF)
-    gain_b[..., :-1] = Wm[..., 1:]
-    span = 1
-    while span < n:
-        shifted = np.full_like(fwd, _INF)
-        shifted[..., span:] = fwd[..., :-span]
-        np.minimum(fwd, shifted + gain, out=fwd)
-        g_shift = np.full_like(gain, _INF)
-        g_shift[..., span:] = gain[..., :-span]
-        gain = gain + g_shift
-
-        shifted_b = np.full_like(bwd, _INF)
-        shifted_b[..., :-span] = bwd[..., span:]
-        np.minimum(bwd, shifted_b + gain_b, out=bwd)
-        gb_shift = np.full_like(gain_b, _INF)
-        gb_shift[..., :-span] = gain_b[..., span:]
-        gain_b = gain_b + gb_shift
-        span *= 2
-    return np.moveaxis(np.minimum(fwd, bwd), -1, axis)
-
-
-def _sweep_map(
-    passable: np.ndarray,
-    cost: np.ndarray,
-    horizontal: Sequence[bool],
-    alpha: float,
-    beta: float,
-    wrong_way: float,
-    target_mask: np.ndarray,
-    max_iters: int = 64,
-) -> Optional[np.ndarray]:
-    num_layers, wx, wy = passable.shape
-    hl = np.asarray(horizontal[:num_layers], dtype=bool)[:, None, None]
-    entry = np.where(passable, cost, _INF)
-    ww = alpha * wrong_way if wrong_way else _INF
-    step_x = np.where(hl, alpha, ww)
-    step_y = np.where(hl, ww, alpha)
-    D = np.full(passable.shape, _INF, dtype=np.float64)
-    D[target_mask] = 0.0
-    Wx = entry + step_x
-    Wy = entry + step_y
-    Wv = entry + beta  # cost of entering each cell through a via
-    for iteration in range(max_iters):
-        prev = D
-        D = _lift_scan(D, Wx, axis=1)
-        D[~passable] = _INF
-        D[target_mask] = 0.0
-        D = _lift_scan(D, Wy, axis=2)
-        D[~passable] = _INF
-        D[target_mask] = 0.0
-        # d(u) = d(v) + beta + cost(v): the forward search pays the cost
-        # of the cell it *enters*, i.e. the via's far end.
-        via = np.full_like(D, _INF)
-        via[:-1] = D[1:] + Wv[1:]
-        via[1:] = np.minimum(via[1:], D[:-1] + Wv[:-1])
-        D = np.minimum(D, via)
-        D[~passable] = _INF
-        D[target_mask] = 0.0
-        if np.array_equal(D, prev):
-            return D
-    return None  # did not converge; caller routes unguided
-
-
-# ---------------------------------------------------------------------- #
 # public entry point
 # ---------------------------------------------------------------------- #
 
@@ -354,7 +261,6 @@ def future_cost_map(
     beta: float,
     wrong_way: float,
     target_mask: np.ndarray,
-    backend: str = "csgraph",
 ) -> Optional[np.ndarray]:
     """Exact cost-to-go of every window cell toward the target set.
 
@@ -368,12 +274,6 @@ def future_cost_map(
     num_layers, wx, wy = passable.shape
     if wx < 2 or wy < 2 or not target_mask.any():
         return None
-    if backend == "csgraph":
-        return _csgraph_map(
-            passable, cost, horizontal, alpha, beta, wrong_way, target_mask
-        )
-    if backend == "sweep":
-        return _sweep_map(
-            passable, cost, horizontal, alpha, beta, wrong_way, target_mask
-        )
-    raise ValueError(f"unknown guidance backend: {backend!r}")
+    return _csgraph_map(
+        passable, cost, horizontal, alpha, beta, wrong_way, target_mask
+    )

@@ -191,13 +191,6 @@ class OverlayCostCache:
         ]
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
         self._guidance: "OrderedDict[int, _GuidanceEntry]" = OrderedDict()
-        # stats (plain ints, readable with observability off)
-        self.hits = 0
-        self.misses = 0
-        self.repaired_cells = 0
-        self.guidance_hits = 0
-        self.guidance_misses = 0
-        self.guidance_invalidations = 0
         grid.add_change_listener(self)
 
     # ------------------------------------------------------------------ #
@@ -227,7 +220,6 @@ class OverlayCostCache:
             for net_id in dead:
                 del self._guidance[net_id]
             if dead:
-                self.guidance_invalidations += len(dead)
                 obs.counter_inc(
                     "guidance_cache_invalidations_total", len(dead)
                 )
@@ -256,13 +248,13 @@ class OverlayCostCache:
                 if entry.pending:
                     self._repair(net_id, entry)
                 self._entries.move_to_end(net_id)
-                self.hits += 1
+                obs.counter_inc("overlay_cache_lookups_total", outcome="hit")
                 if entry.bounds == bounds:
                     return entry.cost
                 return entry.cost[
                     :, xlo - exlo : xhi - exlo + 1, ylo - eylo : yhi - eylo + 1
                 ]
-        self.misses += 1
+        obs.counter_inc("overlay_cache_lookups_total", outcome="miss")
         store_bounds = bounds
         if entry is not None:
             # The net is back with a bigger window (rip-up margin
@@ -294,11 +286,6 @@ class OverlayCostCache:
             :, xlo - sxlo : xhi - sxlo + 1, ylo - sylo : yhi - sylo + 1
         ]
 
-    def invalidate_net(self, net_id: int) -> None:
-        """Drop a net's entry outright (e.g. the net was re-identified)."""
-        self._entries.pop(net_id, None)
-        self._guidance.pop(net_id, None)
-
     def clear(self) -> None:
         self._entries.clear()
         self._guidance.clear()
@@ -311,18 +298,16 @@ class OverlayCostCache:
         """A memoised future-cost map, or None.
 
         ``key`` captures everything the map depends on besides live
-        occupancy — window bounds, target set, rip-up penalty signature
-        and backend; occupancy staleness is handled by the change
+        occupancy — window bounds, target set and rip-up penalty
+        signature; occupancy staleness is handled by the change
         listener dropping touched entries. Hits occur when the exact
         search is re-run (budget-doubling retries, replayed attempts).
         """
         gent = self._guidance.get(net_id)
         if gent is not None and gent.key == key:
             self._guidance.move_to_end(net_id)
-            self.guidance_hits += 1
             obs.counter_inc("guidance_cache_hits_total")
             return gent.dmap
-        self.guidance_misses += 1
         obs.counter_inc("guidance_cache_misses_total")
         return None
 
@@ -362,4 +347,4 @@ class OverlayCostCache:
             cost[layer, x - xlo, y - ylo] = probe_cell(
                 occ, horizontal, layer, x, y, net_id, gamma, delta_tip
             )
-        self.repaired_cells += len(stale)
+        obs.counter_inc("overlay_cache_repaired_cells_total", len(stale))

@@ -163,9 +163,6 @@ class SadpRouter:
                 cost += self.params.gamma  # type 2-b
         return cost
 
-    def _penalty_probe(self, layer: int, pt: Point) -> float:
-        return self._penalties.get((layer, pt.x, pt.y), 0.0)
-
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
@@ -480,24 +477,6 @@ class SadpRouter:
                 self.colorings[layer][net_id] = color
         return None
 
-    def _net_has_cut_risk(self, net_id: int) -> bool:
-        """Any incident edge in a type A cut-risk combo under the current
-        colors? Such combos are strictly forbidden (Section III-D)."""
-        for layer in range(self.grid.num_layers):
-            coloring = self.colorings[layer]
-            graph = self.graphs[layer]
-            risk = getattr(graph, "net_has_cut_risk", None)
-            if risk is not None:
-                if risk(net_id, coloring):
-                    return True
-                continue
-            for edge in graph.edges_of(net_id):
-                cu = coloring.get(edge.u, Color.CORE)
-                cv = coloring.get(edge.v, Color.CORE)
-                if edge.has_cut_risk(cu, cv):
-                    return True
-        return False
-
     def _colors_feasible(self, net_id: int, layers: Set[int]) -> bool:
         """The flipped colors must not create hard overlays."""
         for layer in layers:
@@ -660,18 +639,6 @@ class SadpRouter:
             net = self.netlist.by_id(net_id)
             reroute = self.route_net(net, preserve_penalties=True)
             result.routes[net_id] = reroute
-
-    def _risky_nets(self) -> Set[int]:
-        """Nets sitting on a type A cut-risk color combo (forbidden)."""
-        risky: Set[int] = set()
-        for layer, graph in enumerate(self.graphs):
-            coloring = self.colorings[layer]
-            for edge in graph.edges:
-                cu = coloring.get(edge.u, Color.CORE)
-                cv = coloring.get(edge.v, Color.CORE)
-                if edge.has_cut_risk(cu, cv):
-                    risky.add(max(edge.u, edge.v))
-        return risky
 
     def _unique_conflicts(self) -> List:
         all_cuts = self.checker.all_cuts()

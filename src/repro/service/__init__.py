@@ -16,8 +16,7 @@ traffic mostly costs cache lookups.
     report = client.artifact(job["job_id"], "report")
     service.stop()
 
-CLI front-ends: ``repro serve`` (foreground server) and
-``repro bench load`` (the concurrency/throughput harness). See
+CLI front-end: ``repro serve`` (foreground server). See
 ``docs/SERVICE.md``.
 """
 

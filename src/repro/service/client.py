@@ -1,7 +1,7 @@
 """Minimal stdlib HTTP client for the routing service.
 
-Shared by the load bench (``repro bench load``), the CI service-smoke
-job, and the tests — one connection per request (the server always
+Shared by the benchmark's ``service_mix`` workload, the CI
+service-smoke job, and the tests — one connection per request (the server always
 answers ``Connection: close``), JSON in/out, and a blocking
 :meth:`ServiceClient.wait` that polls a job to its terminal state.
 """

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.baselines import CutNoMergeRouter, DuTrimRouter, GaoPanTrimRouter
 from repro.bench.workloads import generate_benchmark, spec_by_name
+from repro.core import ScenarioDetector
 from repro.geometry import Point
 from repro.grid import RoutingGrid
 from repro.netlist import Net, Netlist, Pin
@@ -123,9 +125,21 @@ class TestDuTrim:
         assert theirs.cpu_seconds > ours.cpu_seconds
 
 
-@pytest.mark.parametrize(
-    "router_cls", [GaoPanTrimRouter, CutNoMergeRouter, DuTrimRouter]
-)
+BASELINES = [GaoPanTrimRouter, CutNoMergeRouter, DuTrimRouter]
+
+
+def _assert_same_routes(res, ref):
+    assert res.routes.keys() == ref.routes.keys()
+    for net_id, a in res.routes.items():
+        b = ref.routes[net_id]
+        assert a.success == b.success, f"net {net_id} success diverged"
+        assert a.segments == b.segments, f"net {net_id} path diverged"
+        assert a.vias == b.vias, f"net {net_id} vias diverged"
+    assert res.overlay_nm == ref.overlay_nm
+    assert res.cut_conflicts == ref.cut_conflicts
+
+
+@pytest.mark.parametrize("router_cls", BASELINES)
 def test_guidance_keeps_baseline_routes(router_cls):
     """The baselines search with the engine's default guidance policy.
     Turning it off (``guidance_min_cells = inf``) must commit the same
@@ -134,22 +148,45 @@ def test_guidance_keeps_baseline_routes(router_cls):
     runs = {}
     for mode in ("off", "default"):
         grid, nets = generate_benchmark(spec, scale=0.2, seed=2014)
-        router = router_cls(grid, nets)
-        if mode == "off":
-            router.engine.guidance_min_cells = math.inf
-        runs[mode] = (router.route_all(), router.engine)
-    (off, off_engine), (res, engine) = runs["off"], runs["default"]
-    assert res.routes.keys() == off.routes.keys()
-    for net_id, a in res.routes.items():
-        b = off.routes[net_id]
-        assert a.success == b.success, f"net {net_id} success diverged"
-        assert a.segments == b.segments, f"net {net_id} path diverged"
-        assert a.vias == b.vias, f"net {net_id} vias diverged"
-    assert res.overlay_nm == off.overlay_nm
-    assert res.cut_conflicts == off.cut_conflicts
-    assert off_engine.total_guided_searches == 0
-    assert engine.total_searches == off_engine.total_searches
-    assert engine.total_expansions <= off_engine.total_expansions
+        with obs.session() as ob:
+            router = router_cls(grid, nets)
+            if mode == "off":
+                router.engine.guidance_min_cells = math.inf
+            result = router.route_all()
+            reg = ob.registry
+            counts = {
+                name: reg.total(name)
+                for name in (
+                    "astar_searches_total",
+                    "astar_nodes_expanded_total",
+                    "astar_guided_searches_total",
+                )
+            }
+        runs[mode] = (result, counts)
+    (off, off_counts), (res, counts) = runs["off"], runs["default"]
+    _assert_same_routes(res, off)
+    assert off_counts["astar_guided_searches_total"] == 0
+    assert counts["astar_searches_total"] == off_counts["astar_searches_total"]
+    assert (
+        counts["astar_nodes_expanded_total"]
+        <= off_counts["astar_nodes_expanded_total"]
+    )
     if router_cls is not DuTrimRouter:
         # Du's pin-pair searches all finish under the trigger here.
-        assert engine.total_guided_searches > 0
+        assert counts["astar_guided_searches_total"] > 0
+
+
+@pytest.mark.parametrize("router_cls", BASELINES)
+def test_detector_keeps_baseline_routes(router_cls):
+    """The baselines commit through the batched ``VectorScenarioDetector``.
+    Swapping in its per-object twin ``ScenarioDetector`` (the oracle)
+    must commit the same routes."""
+    spec = spec_by_name("Test1")
+    runs = {}
+    for detector in ("vector", "object"):
+        grid, nets = generate_benchmark(spec, scale=0.2, seed=2014)
+        router = router_cls(grid, nets)
+        if detector == "object":
+            router.detector = ScenarioDetector(grid.num_layers)
+        runs[detector] = router.route_all()
+    _assert_same_routes(runs["vector"], runs["object"])

@@ -10,8 +10,7 @@ facts about the map ``d``:
   which makes the pruned class closed under relaxation.
 
 Both are pinned here against a scalar reference Dijkstra over the same
-window graph, for both backends (``csgraph`` and the pure-numpy
-``sweep``), across randomized shapes, blockage masks, cost grids,
+window graph, across randomized shapes, blockage masks, cost grids,
 direction assignments, and wrong-way settings.
 """
 
@@ -19,7 +18,6 @@ import heapq
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,22 +121,17 @@ def windows(draw):
     return passable, cost, horizontal, alpha, beta, wrong_way, targets
 
 
-BACKENDS = ["sweep", "csgraph"]
-
-
 # ---------------------------------------------------------------------- #
 # exactness (=> admissibility) against the scalar reference
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(windows())
 @settings(max_examples=60, deadline=None)
-def test_map_equals_reference_dijkstra(backend, window):
+def test_map_equals_reference_dijkstra(window):
     passable, cost, horizontal, alpha, beta, wrong_way, targets = window
     d = future_cost_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets,
-        backend=backend,
+        passable, cost, horizontal, alpha, beta, wrong_way, targets
     )
     if not targets.any():
         assert d is None
@@ -148,29 +141,10 @@ def test_map_equals_reference_dijkstra(backend, window):
         passable, cost, horizontal, alpha, beta, wrong_way, targets
     )
     assert np.allclose(d, ref, rtol=1e-12, atol=1e-12, equal_nan=False), (
-        f"{backend} map diverged from reference Dijkstra"
+        "map diverged from reference Dijkstra"
     )
     # inf exactly where the reference is inf (unreachable / impassable)
     assert np.array_equal(np.isinf(d), np.isinf(ref))
-
-
-@given(windows())
-@settings(max_examples=40, deadline=None)
-def test_backends_agree(window):
-    passable, cost, horizontal, alpha, beta, wrong_way, targets = window
-    a = future_cost_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets,
-        backend="csgraph",
-    )
-    b = future_cost_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets,
-        backend="sweep",
-    )
-    if a is None or b is None:
-        assert a is None and b is None
-        return
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(np.isinf(a), np.isinf(b))
 
 
 # ---------------------------------------------------------------------- #
@@ -178,14 +152,12 @@ def test_backends_agree(window):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(windows())
 @settings(max_examples=40, deadline=None)
-def test_map_is_consistent(backend, window):
+def test_map_is_consistent(window):
     passable, cost, horizontal, alpha, beta, wrong_way, targets = window
     d = future_cost_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets,
-        backend=backend,
+        passable, cost, horizontal, alpha, beta, wrong_way, targets
     )
     if d is None:
         return

@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.geometry import Point, Rect
 from repro.grid import RoutingGrid, default_layer_stack
 from repro.netlist import Netlist
@@ -41,6 +42,13 @@ def _random_bounds(rng: random.Random, grid):
     xhi = rng.randrange(xlo, grid.width)
     yhi = rng.randrange(ylo, grid.height)
     return (xlo, xhi, ylo, yhi)
+
+
+def _lookups(ob, outcome):
+    """``overlay_cache_lookups_total{outcome=...}`` in an obs session."""
+    return ob.registry.counter(
+        "overlay_cache_lookups_total", outcome=outcome
+    ).value
 
 
 def _horizontal(grid):
@@ -95,28 +103,31 @@ def test_cached_grid_matches_fresh_after_arbitrary_invalidations(seed):
 
     nets = [0, 3, 7, 11]
     windows = {net: _random_bounds(rng, grid) for net in nets}
-    for _ in range(60):
-        op = rng.random()
-        if op < 0.35:  # occupy a free cell
-            layer = rng.randrange(grid.num_layers)
-            p = Point(rng.randrange(grid.width), rng.randrange(grid.height))
-            if grid.is_free(layer, p):
-                grid.occupy(layer, p, rng.choice(nets))
-        elif op < 0.50:  # release one cell
-            layer = rng.randrange(grid.num_layers)
-            p = Point(rng.randrange(grid.width), rng.randrange(grid.height))
-            owner = grid.owner(layer, p)
-            if owner >= 0:
-                grid.release(layer, p, owner)
-        elif op < 0.58:  # rip a whole net out
-            grid.release_net(rng.choice(nets))
-        else:  # lookup (often a repeat -> cache hit + repair path)
-            net = rng.choice(nets)
-            if rng.random() < 0.3:
-                windows[net] = _random_bounds(rng, grid)
-            check(net, windows[net])
-    assert cache.hits > 0, "interleaving never exercised the repair/hit path"
-    assert cache.repaired_cells > 0
+    with obs.session() as ob:
+        for _ in range(60):
+            op = rng.random()
+            if op < 0.35:  # occupy a free cell
+                layer = rng.randrange(grid.num_layers)
+                p = Point(rng.randrange(grid.width), rng.randrange(grid.height))
+                if grid.is_free(layer, p):
+                    grid.occupy(layer, p, rng.choice(nets))
+            elif op < 0.50:  # release one cell
+                layer = rng.randrange(grid.num_layers)
+                p = Point(rng.randrange(grid.width), rng.randrange(grid.height))
+                owner = grid.owner(layer, p)
+                if owner >= 0:
+                    grid.release(layer, p, owner)
+            elif op < 0.58:  # rip a whole net out
+                grid.release_net(rng.choice(nets))
+            else:  # lookup (often a repeat -> cache hit + repair path)
+                net = rng.choice(nets)
+                if rng.random() < 0.3:
+                    windows[net] = _random_bounds(rng, grid)
+                check(net, windows[net])
+        hits = _lookups(ob, "hit")
+        repaired = ob.registry.total("overlay_cache_repaired_cells_total")
+    assert hits > 0, "interleaving never exercised the repair/hit path"
+    assert repaired > 0
 
 
 def test_contained_window_is_served_by_slicing():
@@ -124,11 +135,12 @@ def test_contained_window_is_served_by_slicing():
     grid = _random_grid(rng)
     cache = OverlayCostCache(grid, 1.5, 0.5)
     big = (2, 15, 3, 16)
-    cache.grid_for(5, big)
-    assert cache.misses == 1
     small = (4, 10, 5, 12)
-    served = cache.grid_for(5, small)
-    assert cache.hits == 1
+    with obs.session() as ob:
+        cache.grid_for(5, big)
+        assert _lookups(ob, "miss") == 1
+        served = cache.grid_for(5, small)
+        assert _lookups(ob, "hit") == 1
     fresh = overlay_cost_grid(grid._occ, _horizontal(grid), small, 5, 1.5, 0.5)
     assert np.array_equal(served, fresh)
 

@@ -99,23 +99,14 @@ class TestObstacles:
 class TestCostShaping:
     def test_penalty_diverts_path(self, grid):
         penalties = {(0, x, 5): 10.0 for x in range(4, 9)}
-        engine = AStarRouter(
-            grid,
-            CostParams(),
-            penalty=lambda l, p: penalties.get((l, p.x, p.y), 0.0),
-        )
+        engine = AStarRouter(grid, CostParams(), penalty_map=penalties)
         found = engine.search(request(0, Point(2, 5), Point(10, 5)), extra_margin=10)
         assert found is not None
         on_track = [n for n in found.nodes if n[0] == 0 and n[2] == 5 and 4 <= n[1] < 9]
         assert not on_track  # detoured around the penalised stretch
 
     def test_overlay_cost_steers(self, grid):
-        expensive = {(0, 6, 5)}
-        engine = AStarRouter(
-            grid,
-            CostParams(),
-            overlay_cost=lambda l, p: 50.0 if (l, p.x, p.y) in expensive else 0.0,
-        )
+        engine = AStarRouter(grid, CostParams(), penalty_map={(0, 6, 5): 50.0})
         found = engine.search(request(0, Point(2, 5), Point(10, 5)), extra_margin=10)
         assert (0, 6, 5) not in found.nodes
 

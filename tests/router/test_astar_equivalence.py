@@ -151,18 +151,3 @@ def test_route_all_equivalence(circuit, scale):
     assert res_fast.overlay_units == res_ref.overlay_units
     assert res_fast.total_wirelength == res_ref.total_wirelength
     assert res_fast.cut_conflicts == res_ref.cut_conflicts == 0
-
-
-def test_callbacks_force_reference_path():
-    """Generic per-cell callbacks are only supported by the reference
-    implementation; the dispatcher must route through it."""
-    grid = RoutingGrid(16, 16)
-    calls = []
-    engine = AStarRouter(
-        grid, CostParams(), overlay_cost=lambda l, p: calls.append(1) or 0.0
-    )
-    req = SearchRequest(
-        net_id=0, sources=[(0, Point(1, 5))], targets=[(0, Point(9, 5))]
-    )
-    assert engine.search(req) is not None
-    assert calls  # the callback actually ran

@@ -9,7 +9,8 @@ with ``guidance_min_cells = 0`` builds every map up front ("on"). These
 tests pin that contract at the engine level (random occupancy,
 penalties, overlay terms, multi-pin requests) and end-to-end through
 ``SadpRouter.route_all`` on seeded Test1/Test6 instances, plus the
-memoization and invalidation behaviour of the guidance cache.
+memoization and invalidation behaviour of the guidance cache. Search
+work is read from the ``repro.obs`` counters, one session per engine.
 """
 
 import math
@@ -17,6 +18,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.geometry import Point
 from repro.grid import RoutingGrid
@@ -32,6 +34,34 @@ def set_mode(engine, mode):
         engine.guidance_trigger = 0
         engine.guidance_min_cells = 0
     return engine
+
+
+#: The counters :func:`run_counted` totals.
+COUNTERS = (
+    "astar_searches_total",
+    "astar_nodes_expanded_total",
+    "astar_guided_searches_total",
+    "guidance_maps_built_total",
+    "guidance_cache_hits_total",
+    "guidance_cache_misses_total",
+)
+
+
+def counter_totals(ob):
+    return {name: ob.registry.total(name) for name in COUNTERS}
+
+
+def run_counted(engine, requests, extra_margin=0):
+    """Search every request, with ``active_net`` set to its net, inside a
+    fresh obs session; return the results and the session's counter
+    totals."""
+    with obs.session() as ob:
+        found = []
+        for req in requests:
+            engine.active_net = req.net_id
+            found.append(engine.search(req, extra_margin=extra_margin))
+        totals = counter_totals(ob)
+    return found, totals
 
 
 def _random_occupancy(grid, rng, fill):
@@ -54,16 +84,10 @@ def _assert_same_found(guided, plain):
     assert guided.expansions <= plain.expansions
 
 
-BACKENDS = ["csgraph", "sweep"]
-
-
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("mode", ["on", "auto"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_occupancy_with_overlay_and_penalties(
-        self, seed, mode, backend
-    ):
+    def test_random_occupancy_with_overlay_and_penalties(self, seed, mode):
         rng = random.Random(seed)
         grid = RoutingGrid(26, 26)
         _random_occupancy(grid, rng, fill=0.12)
@@ -78,25 +102,28 @@ class TestEngineEquivalence:
         )
         plain = set_mode(AStarRouter(grid, params, **kwargs), "off")
         guided = AStarRouter(grid, params, **kwargs)
-        guided.guidance_backend = backend
         guided.guidance_trigger = 16  # make "auto" actually trip
         guided.guidance_min_cells = 0  # windows here are under the size gate
         set_mode(guided, mode)
-        for net_id in (100, 101):
-            plain.active_net = guided.active_net = net_id
-            for _ in range(6):
-                src = Point(rng.randrange(26), rng.randrange(26))
-                dst = Point(rng.randrange(26), rng.randrange(26))
-                req = SearchRequest(
-                    net_id=net_id, sources=[(0, src)], targets=[(0, dst)]
-                )
-                _assert_same_found(
-                    guided.search(req, extra_margin=4),
-                    plain.search(req, extra_margin=4),
-                )
-        assert guided.total_guided_searches > 0
-        assert plain.total_guided_searches == 0
-        assert guided.total_expansions <= plain.total_expansions
+        requests = [
+            SearchRequest(
+                net_id=net_id,
+                sources=[(0, Point(rng.randrange(26), rng.randrange(26)))],
+                targets=[(0, Point(rng.randrange(26), rng.randrange(26)))],
+            )
+            for net_id in (100, 101)
+            for _ in range(6)
+        ]
+        plain_found, plain_n = run_counted(plain, requests, extra_margin=4)
+        guided_found, guided_n = run_counted(guided, requests, extra_margin=4)
+        for g, p in zip(guided_found, plain_found):
+            _assert_same_found(g, p)
+        assert guided_n["astar_guided_searches_total"] > 0
+        assert plain_n["astar_guided_searches_total"] == 0
+        assert (
+            guided_n["astar_nodes_expanded_total"]
+            <= plain_n["astar_nodes_expanded_total"]
+        )
 
     def test_multi_candidate_pins(self):
         rng = random.Random(7)
@@ -150,10 +177,14 @@ class TestEngineEquivalence:
         req = SearchRequest(
             net_id=0, sources=[(0, Point(2, 15))], targets=[(0, Point(28, 15))]
         )
-        assert plain.search(req) is None
-        assert guided.search(req) is None
+        (plain_found,), plain_n = run_counted(plain, [req])
+        (guided_found,), guided_n = run_counted(guided, [req])
+        assert plain_found is None and guided_found is None
         assert guided.last_outcome == plain.last_outcome == "failed"
-        assert guided.total_expansions < plain.total_expansions
+        assert (
+            guided_n["astar_nodes_expanded_total"]
+            < plain_n["astar_nodes_expanded_total"]
+        )
 
     def test_off_mode_never_builds(self):
         grid = RoutingGrid(16, 16)
@@ -161,9 +192,10 @@ class TestEngineEquivalence:
         req = SearchRequest(
             net_id=0, sources=[(0, Point(1, 1))], targets=[(0, Point(14, 14))]
         )
-        assert engine.search(req) is not None
-        assert engine.total_guidance_builds == 0
-        assert engine.total_guided_searches == 0
+        (found,), n = run_counted(engine, [req])
+        assert found is not None
+        assert n["guidance_maps_built_total"] == 0
+        assert n["astar_guided_searches_total"] == 0
 
     def test_auto_size_gate_skips_tiny_windows(self):
         """Windows under ``guidance_min_cells`` never pay for a map build
@@ -175,14 +207,16 @@ class TestEngineEquivalence:
         grid = RoutingGrid(16, 16)
         auto = AStarRouter(grid, CostParams())
         auto.guidance_trigger = 0  # would trip immediately without the gate
-        assert auto.search(req) is not None
-        assert auto.total_guidance_builds == 0
-        assert auto.total_guided_searches == 0
+        (found,), n = run_counted(auto, [req])
+        assert found is not None
+        assert n["guidance_maps_built_total"] == 0
+        assert n["astar_guided_searches_total"] == 0
 
         grid = RoutingGrid(16, 16)
         forced = set_mode(AStarRouter(grid, CostParams()), "on")
-        assert forced.search(req) is not None
-        assert forced.total_guided_searches > 0
+        (found,), n = run_counted(forced, [req])
+        assert found is not None
+        assert n["astar_guided_searches_total"] > 0
 
 
 class TestGuidanceMemo:
@@ -195,15 +229,18 @@ class TestGuidanceMemo:
         req = SearchRequest(
             net_id=5, sources=[(0, Point(2, 2))], targets=[(0, Point(15, 15))]
         )
-        first = engine.search(req)
-        assert first is not None
-        assert cache.guidance_misses == 1
-        builds = engine.total_guidance_builds
-        second = engine.search(req)
-        assert second is not None
-        assert second.nodes == first.nodes
-        assert cache.guidance_hits == 1
-        assert engine.total_guidance_builds == builds  # served from memo
+        with obs.session() as ob:
+            first = engine.search(req)
+            assert first is not None
+            n = counter_totals(ob)
+            assert n["guidance_cache_misses_total"] == 1
+            second = engine.search(req)
+            assert second is not None
+            assert second.nodes == first.nodes
+            m = counter_totals(ob)
+        assert m["guidance_cache_hits_total"] == 1
+        # served from memo
+        assert m["guidance_maps_built_total"] == n["guidance_maps_built_total"]
 
     def test_occupancy_change_inside_window_invalidates(self):
         grid = RoutingGrid(20, 20)
@@ -214,11 +251,13 @@ class TestGuidanceMemo:
         req = SearchRequest(
             net_id=5, sources=[(0, Point(2, 2))], targets=[(0, Point(15, 15))]
         )
-        engine.search(req)
-        grid.occupy(0, Point(8, 8), 7)  # lands inside the search window
-        engine.search(req)
-        assert cache.guidance_hits == 0
-        assert cache.guidance_misses == 2
+        with obs.session() as ob:
+            engine.search(req)
+            grid.occupy(0, Point(8, 8), 7)  # lands inside the search window
+            engine.search(req)
+            n = counter_totals(ob)
+        assert n["guidance_cache_hits_total"] == 0
+        assert n["guidance_cache_misses_total"] == 2
 
     def test_far_away_change_keeps_the_entry(self):
         grid = RoutingGrid(40, 40)
@@ -229,10 +268,12 @@ class TestGuidanceMemo:
         req = SearchRequest(
             net_id=5, sources=[(0, Point(2, 2))], targets=[(0, Point(8, 8))]
         )
-        engine.search(req)
-        grid.occupy(0, Point(38, 38), 7)  # far outside the window + margin
-        engine.search(req)
-        assert cache.guidance_hits == 1
+        with obs.session() as ob:
+            engine.search(req)
+            grid.occupy(0, Point(38, 38), 7)  # far outside the window + margin
+            engine.search(req)
+            n = counter_totals(ob)
+        assert n["guidance_cache_hits_total"] == 1
 
 
 @pytest.mark.parametrize(
@@ -246,15 +287,16 @@ def test_route_all_equivalence(circuit, scale):
     while expanding no more nodes."""
     spec = spec_by_name(circuit)
     results = {}
-    engines = {}
+    counts = {}
     for mode in ("off", "auto", "on"):
         grid, nets = generate_benchmark(spec, scale=scale, seed=2014)
-        router = SadpRouter(grid, nets)
-        router.engine.guidance_trigger = 32
-        router.engine.guidance_min_cells = 0  # scaled windows are tiny
-        set_mode(router.engine, mode)
-        results[mode] = router.route_all()
-        engines[mode] = router.engine
+        with obs.session() as ob:
+            router = SadpRouter(grid, nets)
+            router.engine.guidance_trigger = 32
+            router.engine.guidance_min_cells = 0  # scaled windows are tiny
+            set_mode(router.engine, mode)
+            results[mode] = router.route_all()
+            counts[mode] = counter_totals(ob)
     base = results["off"]
     for mode in ("auto", "on"):
         res = results[mode]
@@ -266,7 +308,8 @@ def test_route_all_equivalence(circuit, scale):
             assert a.vias == b.vias, f"net {net_id} vias diverged"
         assert res.overlay_units == base.overlay_units
         assert res.total_wirelength == base.total_wirelength
-        assert engines[mode].total_searches == engines["off"].total_searches
-        assert engines[mode].total_expansions <= engines["off"].total_expansions
-        assert engines[mode].total_guided_searches > 0
-    assert engines["off"].total_guided_searches == 0
+        n, off = counts[mode], counts["off"]
+        assert n["astar_searches_total"] == off["astar_searches_total"]
+        assert n["astar_nodes_expanded_total"] <= off["astar_nodes_expanded_total"]
+        assert n["astar_guided_searches_total"] > 0
+    assert counts["off"]["astar_guided_searches_total"] == 0

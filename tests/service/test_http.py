@@ -66,14 +66,6 @@ class TestValidation:
         )
         assert client.wait(job["job_id"], timeout_s=60)["status"] == "done"
 
-    def test_load_bench_sends_only_known_keys(self):
-        from repro.bench.load import _build_submissions
-        from repro.service.server import _SUBMISSION_KEYS
-
-        for sub in _build_submissions(6, 0.5, "Test1", 0.1, 3):
-            sub.pop("_mix")  # the harness strips it before submitting
-            assert set(sub) <= _SUBMISSION_KEYS
-
     def test_bad_json_body_rejected(self, client):
         status, raw = client._request("POST", "/jobs")
         # empty body parses as {} → missing source, still a clean 400

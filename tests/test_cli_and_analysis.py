@@ -73,6 +73,10 @@ class TestCli:
         assert main(["bench", "Test42"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_load_is_not_a_benchmark(self, capsys):
+        assert main(["bench", "load"]) == 2
+        assert "unknown benchmark 'load'" in capsys.readouterr().err
+
     def test_route_with_metrics_and_trace(self, netlist_file, tmp_path, capsys):
         from repro import obs
 
